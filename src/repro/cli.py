@@ -104,11 +104,10 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         metavar="NAME",
         help=(
             "DSP kernel backend for the spectral hot paths: "
-            f"{', '.join(available_backends())}, or 'auto' (default: the "
-            f"{BACKEND_ENV_VAR} env var if set, else auto — a per-host "
-            "probe that only ever picks kernels bit-identical to the "
-            "numpy reference; named non-numpy backends run within "
-            "documented float tolerance instead)"
+            f"{', '.join(available_backends())} (default: the "
+            f"{BACKEND_ENV_VAR} env var if set, else numpy, the "
+            "bit-compatible reference; named non-numpy backends run "
+            "within documented float tolerance instead)"
         ),
     )
     parser.add_argument(
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "DSP kernel backend, as for run/run-all: "
-            f"{', '.join(available_backends())}, or 'auto'"
+            f"{', '.join(available_backends())}"
         ),
     )
 
@@ -373,23 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how long the batcher waits for more concurrent rounds",
     )
     serve_parser.add_argument(
-        "--dsp-workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="workers on the DSP executor (1 serializes stacked passes)",
-    )
-    serve_parser.add_argument(
-        "--dsp-executor",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "where stacked DSP passes run: threads of the serving "
-            "process, or a spawned process pool (escapes the GIL on "
-            "multi-core hosts). Decisions are bit-identical either way."
-        ),
-    )
-    serve_parser.add_argument(
         "--workers",
         type=_positive_int,
         default=1,
@@ -417,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "DSP kernel backend, as for run/run-all: "
-            f"{', '.join(available_backends())}, or 'auto'"
+            f"{', '.join(available_backends())}"
         ),
     )
     serve_parser.add_argument(
@@ -715,7 +697,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the streaming authentication service until interrupted.
 
     SIGINT/SIGTERM trigger a graceful drain: requests already streaming
-    finish, new requests are answered ``busy``, the DSP executors shut
+    finish, new requests are answered ``busy``, the DSP threads shut
     down, and only then does the process exit.
     """
     import asyncio
@@ -738,18 +720,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stop.set)
 
+        options = dict(
+            batch_size=args.batch,
+            linger_ms=args.linger_ms,
+            queue_limit=args.queue_limit,
+            max_inflight_rounds=args.max_inflight,
+            dsp_timeout_s=args.dsp_timeout_s,
+        )
         if args.workers > 1:
             front = ShardedAuthServer(
                 args.workers,
-                service_options=dict(
-                    batch_size=args.batch,
-                    linger_ms=args.linger_ms,
-                    queue_limit=args.queue_limit,
-                    dsp_workers=args.dsp_workers,
-                    dsp_executor=args.dsp_executor,
-                    max_inflight_rounds=args.max_inflight,
-                    dsp_timeout_s=args.dsp_timeout_s,
-                ),
+                service_options=options,
                 max_respawns=args.max_respawns,
                 respawn_backoff_s=args.respawn_backoff_s,
             )
@@ -764,15 +745,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
                     await front.drain()
         else:
-            service = AuthService(
-                batch_size=args.batch,
-                linger_ms=args.linger_ms,
-                queue_limit=args.queue_limit,
-                dsp_workers=args.dsp_workers,
-                dsp_executor=args.dsp_executor,
-                max_inflight_rounds=args.max_inflight,
-                dsp_timeout_s=args.dsp_timeout_s,
-            )
+            service = AuthService(**options)
             async with service:
                 server = await service.serve(args.host, args.port)
                 _banner(server, "single process")

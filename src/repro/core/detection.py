@@ -36,9 +36,8 @@ implementation therefore
   pocketfft's row copy produces the very same window contents);
 * dispatches all FFT/power arithmetic through the process-wide
   :mod:`repro.dsp.backend` kernel provider.  The default backend is the
-  bit-compatible numpy reference; alternates (scipy ``workers=``,
-  pyFFTW, MKL) are opt-in or auto-selected only after a bit-equality
-  probe on the running host (see ``docs/pipeline.md``).
+  bit-compatible numpy reference; the scipy ``workers=`` alternate is
+  installed only when asked for by name (see ``docs/pipeline.md``).
 
 The scan logic is split into phases (coarse powers → fine-pass planning →
 resolution) so that :meth:`candidate_powers_stacked` can run the window
@@ -139,16 +138,13 @@ class DetectionResult:
 class FrequencyDetector:
     """The frequency-based detector of §IV-C, for a fixed configuration."""
 
-    #: Ceiling on the windows per FFT dispatch.  The per-window FFT is
-    #: memory-bound, so the sweet spot keeps one chunk's transient
-    #: spectrum buffers cache-resident — and the right value varies by
-    #: host (measured 2× swings between 128 and 256 on cache-constrained
-    #: machines).  ``None`` (the default) defers to the active DSP
-    #: backend's per-host calibration
-    #: (:attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows`); set a
-    #: positive int here (or the ``REPRO_DSP_CHUNK`` env var) to pin it.
-    #: FFT results are row-wise independent, so chunking never changes a
-    #: single output bit.
+    #: Ceiling on the windows per FFT dispatch.  ``None`` (the default)
+    #: defers to the active DSP backend's
+    #: :attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows` —
+    #: ``DEFAULT_FFT_CHUNK_WINDOWS`` (512) unless ``REPRO_DSP_CHUNK`` or
+    #: the backend's constructor sets it; set a positive int here to pin
+    #: it for one detector class.  FFT results are row-wise independent,
+    #: so chunking never changes a single output bit.
     MAX_FFT_WINDOWS: int | None = None
 
     #: Minimum length of a constant-stride start run that is worth
@@ -182,7 +178,7 @@ class FrequencyDetector:
         )
 
     def _chunk_windows(self) -> int:
-        """Effective FFT dispatch ceiling (override or backend-calibrated)."""
+        """Effective FFT dispatch ceiling (override or the backend's)."""
         if self.MAX_FFT_WINDOWS is not None:
             return self.MAX_FFT_WINDOWS
         return get_backend().fft_chunk_windows

@@ -11,14 +11,13 @@ Invariants every caller may rely on (and every new backend must honor):
 1. **The numpy backend is the bit-compatible reference** — each of its
    kernels performs exactly the pre-backend-seam arithmetic, so results
    under it define what "correct bits" means for the whole repo.
-2. **Auto-selection never changes bits** — with no explicit choice
-   (``--dsp-backend`` / :func:`set_backend` / ``REPRO_DSP_BACKEND``), a
-   per-host probe admits only backends whose kernels are *all*
-   bit-identical to the numpy reference on the running host; experiment
-   tables therefore never change bytes under auto-selection.
-3. **Named backends have a documented tolerance** — explicitly selected
-   non-reference backends (scipy, pyFFTW, MKL) may round differently but
-   must stay within 1e-10 relative of the reference on the probe suite
+2. **The default never changes bits** — with no explicit choice
+   (``--dsp-backend`` / :func:`set_backend` / ``REPRO_DSP_BACKEND``), the
+   numpy reference is installed; experiment tables therefore never change
+   bytes unless a backend is asked for by name.
+3. **Named backends have a documented tolerance** — an explicitly
+   selected non-reference backend (scipy) may round differently but
+   must stay within 1e-10 relative of the reference
    (``tests/test_dsp_backend.py``).
 4. **Kernels are row-wise independent and stateless** — batching,
    chunking (``fft_chunk_windows`` / ``REPRO_DSP_CHUNK``), and
@@ -26,8 +25,7 @@ Invariants every caller may rely on (and every new backend must honor):
    that cannot change any row's bits, which is what makes cross-session
    batching and the streaming service's shared DSP executor safe.
 
-Selection precedence: explicit > ``REPRO_DSP_BACKEND`` > per-host
-calibration probe.
+Selection precedence: explicit > ``REPRO_DSP_BACKEND`` > numpy.
 """
 
 from repro.dsp.backend.base import (
@@ -42,7 +40,6 @@ from repro.dsp.backend.select import (
     available_backends,
     create_backend,
     get_backend,
-    probe_bit_compatible,
     select_backend,
     set_backend,
     use_backend,
@@ -58,7 +55,6 @@ __all__ = [
     "available_backends",
     "create_backend",
     "get_backend",
-    "probe_bit_compatible",
     "select_backend",
     "set_backend",
     "use_backend",

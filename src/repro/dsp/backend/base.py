@@ -17,14 +17,14 @@ The contract that keeps the pipeline's determinism guarantees intact:
   ``(2·|X|/N)²``-and-sum power formula, per-row ``np.convolve``,
   ``scipy.signal.sosfilt``), so results are byte-identical to the
   pre-backend implementation on every host.
-* Alternate backends (scipy-with-workers, pyFFTW, mkl_fft) may substitute
-  faster kernels whose outputs agree within documented float tolerance
-  (see ``docs/pipeline.md``).  The auto-selector only promotes an
-  alternate backend to *default* after verifying, on the running host,
-  that its FFT kernel is bit-identical to numpy's on the probe suite —
-  otherwise the alternate stays opt-in via ``--dsp-backend``/the env var.
-* Kernel results are row-wise independent, so chunking (the calibrated
-  ``fft_chunk_windows``) never changes an output bit.
+* The alternate backend (scipy-with-workers) may substitute faster
+  kernels whose outputs agree within documented float tolerance (see
+  ``docs/pipeline.md``).  It is installed only when asked for by name,
+  via ``--dsp-backend`` or the env var; the default is always numpy.
+* Kernel results are row-wise independent, so chunking
+  (``fft_chunk_windows``: :data:`DEFAULT_FFT_CHUNK_WINDOWS` unless
+  ``REPRO_DSP_CHUNK`` or the constructor sets it) never changes an
+  output bit.
 
 ``window_powers`` is deliberately defined on the base class in terms of
 ``self.rfft`` plus the exact reference power arithmetic: an FFT-only
@@ -63,8 +63,10 @@ class DSPBackend:
 
     Subclasses override :meth:`rfft` (and optionally the other kernels)
     and set :attr:`name`.  Instances are cheap, stateless, and safe to
-    share across threads; the only mutable state is the lazily calibrated
-    FFT chunk size.
+    share across threads.  :attr:`fft_chunk_windows` is fixed at
+    construction: the ``fft_chunk_windows`` argument, else the
+    ``REPRO_DSP_CHUNK`` environment variable, else
+    :data:`DEFAULT_FFT_CHUNK_WINDOWS`.
     """
 
     #: Registry key and ``--dsp-backend`` spelling.
@@ -72,8 +74,8 @@ class DSPBackend:
 
     #: Whether the backend's kernels are bit-compatible with the numpy
     #: reference *by construction* (true only for NumpyBackend).  Other
-    #: backends may still measure bit-identical on a given host — the
-    #: auto-selector probes for that — but make no standing promise.
+    #: backends may still measure bit-identical on a given host but make
+    #: no standing promise.
     bit_compatible: bool = False
 
     def __init__(self, fft_chunk_windows: int | None = None) -> None:
@@ -84,7 +86,9 @@ class DSPBackend:
             raise ValueError(
                 f"fft_chunk_windows must be >= 1, got {fft_chunk_windows}"
             )
-        self._fft_chunk_windows = fft_chunk_windows
+        #: Windows per FFT dispatch; rows are independent, so any value
+        #: yields bit-identical results.
+        self.fft_chunk_windows = fft_chunk_windows or DEFAULT_FFT_CHUNK_WINDOWS
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -194,16 +198,3 @@ class DSPBackend:
         if not sos.flags.writeable:
             sos = sos.copy()
         return sp_signal.sosfilt(sos, signal)
-
-    @property
-    def fft_chunk_windows(self) -> int:
-        """Windows per FFT dispatch (see :data:`DEFAULT_FFT_CHUNK_WINDOWS`).
-
-        Chunking is purely a scheduling decision (rows are independent),
-        so any value yields bit-identical results; the ``REPRO_DSP_CHUNK``
-        environment variable pins it for memory-constrained or
-        experimental setups.
-        """
-        if self._fft_chunk_windows is None:
-            self._fft_chunk_windows = DEFAULT_FFT_CHUNK_WINDOWS
-        return self._fft_chunk_windows

@@ -4,7 +4,7 @@ Every kernel performs exactly the arithmetic the pre-backend hot paths
 performed, so routing through this backend is byte-identical to the code
 it replaced on every host — the anchor for the pipeline's determinism
 guarantees (serial == staged == batched, and experiment tables invariant
-under ``--jobs``/``--batch``/backend auto-selection).
+under ``--jobs``/``--batch``).
 """
 
 from __future__ import annotations

@@ -6,10 +6,8 @@ scipy's thread-level row split cannot change any output value relative to
 a single-threaded scipy transform; whether scipy's transform is in turn
 bit-identical to ``np.fft.rfft`` depends on the installed numpy/scipy
 pair (both ship pocketfft; recent numpy ships the same C++ generation).
-The auto-selector verifies that equivalence on the running host before
-this backend may be picked as the default — explicitly requested via
-``--dsp-backend scipy`` it simply promises the documented ``1e-10``
-relative tolerance.
+The backend is only ever installed by name (``--dsp-backend scipy``),
+and then promises the documented ``1e-10`` relative tolerance.
 
 The batched convolution kernel uses :func:`scipy.signal.oaconvolve`
 (overlap-add, FFT-based): across a stacked group of equal-shape

@@ -1,4 +1,4 @@
-"""Backend registry, per-host auto-selection, and the process-wide default.
+"""Backend registry, selection, and the process-wide default.
 
 Selection precedence, first hit wins:
 
@@ -6,33 +6,23 @@ Selection precedence, first hit wins:
    CLI's ``--dsp-backend`` flag);
 2. the ``REPRO_DSP_BACKEND`` environment variable (how the CLI flag
    reaches worker processes of the parallel trial engine);
-3. auto-calibration: every available backend is probed on the running
-   host; backends whose kernels (FFT, window powers, convolution,
-   filtering) are all **bit-identical** to the numpy reference on the
-   probe suite are eligible, and the fastest eligible one becomes the
-   default.
+3. :class:`~repro.dsp.backend.numpy_backend.NumpyBackend`, the
+   bit-compatible reference.
 
-Rule 3 is what keeps ``run-all`` tables byte-identical under
-auto-selection on any host: a backend with different rounding (pyFFTW,
-MKL — or a scipy build whose pocketfft generation diverges from numpy's)
-can never be picked silently; it has to be asked for by name, and then
-its documented float tolerance applies.  The probe costs a few
-milliseconds once per process and is skipped entirely when rules 1–2
-decide first.
+Rule 3 is what keeps ``run-all`` tables byte-identical on any host: a
+backend with different rounding (scipy's overlap-add ``convolve_batch``)
+is never installed silently; it has to be asked for by name, and then
+its documented float tolerance applies.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from time import perf_counter
 from typing import Iterator
-
-import numpy as np
 
 from repro.dsp.backend.base import DSPBackend
 from repro.dsp.backend.numpy_backend import NumpyBackend
-from repro.dsp.backend.optional import optional_backend_classes
 from repro.dsp.backend.scipy_backend import ScipyBackend
 
 __all__ = [
@@ -43,151 +33,41 @@ __all__ = [
     "get_backend",
     "set_backend",
     "use_backend",
-    "probe_bit_compatible",
 ]
 
 #: Environment override for the default backend (a registry name).
 BACKEND_ENV_VAR = "REPRO_DSP_BACKEND"
 
-#: Sentinel name accepted by the CLI: run the auto-selection probe.
-AUTO = "auto"
-
-
-def _registry() -> dict[str, type[DSPBackend]]:
-    classes: dict[str, type[DSPBackend]] = {
-        NumpyBackend.name: NumpyBackend,
-        ScipyBackend.name: ScipyBackend,
-    }
-    classes.update(optional_backend_classes())
-    return classes
+_REGISTRY: dict[str, type[DSPBackend]] = {
+    NumpyBackend.name: NumpyBackend,
+    ScipyBackend.name: ScipyBackend,
+}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names of the backends importable in this environment."""
-    return tuple(sorted(_registry()))
+    """Names of the registered backends."""
+    return tuple(sorted(_REGISTRY))
 
 
 def create_backend(name: str) -> DSPBackend:
     """Instantiate a backend by registry name (raises on unknown)."""
-    classes = _registry()
     try:
-        return classes[name]()
+        return _REGISTRY[name]()
     except KeyError:
-        known = ", ".join(sorted(classes))
+        known = ", ".join(available_backends())
         raise ValueError(
-            f"unknown DSP backend {name!r}; available: {known} (or {AUTO!r})"
+            f"unknown DSP backend {name!r}; available: {known}"
         ) from None
 
 
-# ----------------------------------------------------------------------
-# Auto-selection probe
-# ----------------------------------------------------------------------
-
-
-def probe_bit_compatible(
-    backend: DSPBackend, lengths: tuple[int, ...] = (1024, 4096)
-) -> bool:
-    """Whether **every** kernel matches the numpy reference bitwise here.
-
-    Installing a backend swaps all kernels at once — the detector's FFT,
-    the mixer's (batched) convolutions, and the noise-shaping filter —
-    so eligibility for auto-selection requires each of them to reproduce
-    the reference bit for bit on the running host, not just the FFT.
-    (The scipy backend is the live case: its ``rfft`` is frequently
-    bit-identical to numpy's — both ship pocketfft — while its
-    overlap-add ``convolve_batch`` never is, so it must fail this probe
-    and stay opt-in.)  The FFT check exercises contiguous and strided
-    batches at the transform lengths the detector uses (every
-    :class:`~repro.core.config.ProtocolConfig` signal length is a power
-    of two; 4096 is the paper's).
-    """
-    rng = np.random.default_rng(0xB17)
-    reference = NumpyBackend()
-    for length in lengths:
-        batch = rng.normal(size=(8, length))
-        if not np.array_equal(
-            np.asarray(backend.rfft(batch, axis=1)),
-            np.fft.rfft(batch, axis=1),
-        ):
-            return False
-        flat = rng.normal(size=length + 70)
-        slab = np.lib.stride_tricks.sliding_window_view(flat, length)[::10]
-        if not np.array_equal(
-            np.asarray(backend.rfft(slab, axis=1)),
-            np.fft.rfft(slab, axis=1),
-        ):
-            return False
-    bins = rng.integers(0, 513, size=(6, 5))
-    windows = rng.normal(size=(8, 1024))
-    if not np.array_equal(
-        np.asarray(backend.window_powers(windows, bins, 1024)),
-        reference.window_powers(windows, bins, 1024),
-    ):
-        return False
-    signals = rng.normal(size=(5, 600))
-    taps = rng.normal(size=(5, 73))
-    if not np.array_equal(
-        np.asarray(backend.convolve(signals[0], taps[0])),
-        np.convolve(signals[0], taps[0]),
-    ):
-        return False
-    if not np.array_equal(
-        np.asarray(backend.convolve_batch(signals, taps)),
-        reference.convolve_batch(signals, taps),
-    ):
-        return False
-    sos = np.array(
-        [[0.2, 0.4, 0.2, 1.0, -0.5, 0.1], [0.3, 0.1, 0.0, 1.0, -0.2, 0.05]]
-    )
-    noise = rng.normal(size=(3, 800))
-    if not np.array_equal(
-        np.asarray(backend.sosfilt(sos, noise)),
-        reference.sosfilt(sos, noise),
-    ):
-        return False
-    return True
-
-
-def _probe_speed(backend: DSPBackend, length: int = 4096, reps: int = 3) -> float:
-    """Best-of-``reps`` seconds for one 64-window power evaluation."""
-    rng = np.random.default_rng(0x5EED)
-    windows = rng.normal(size=(64, length))
-    bins = np.arange(330, dtype=np.int64).reshape(30, 11)
-    backend.window_powers(windows, bins, length)  # warm-up / plan cache
-    best = float("inf")
-    for _ in range(reps):
-        start = perf_counter()
-        backend.window_powers(windows, bins, length)
-        best = min(best, perf_counter() - start)
-    return best
-
-
 def select_backend(name: str | None = None) -> DSPBackend:
-    """Resolve a backend instance from a name, env var, or calibration.
+    """Resolve a backend instance from a name, the env var, or the default.
 
-    ``name=None`` (or ``"auto"``) consults :data:`BACKEND_ENV_VAR` first
-    and falls back to the calibration probe described in the module
-    docstring.
+    ``name=None`` consults :data:`BACKEND_ENV_VAR` and falls back to the
+    numpy reference backend.
     """
-    if name in (None, AUTO):
-        name = os.environ.get(BACKEND_ENV_VAR) or None
-    if name not in (None, AUTO):
-        return create_backend(name)
-
-    numpy_backend = NumpyBackend()
-    best: tuple[float, DSPBackend] = (_probe_speed(numpy_backend), numpy_backend)
-    for other in available_backends():
-        if other == NumpyBackend.name:
-            continue
-        candidate = create_backend(other)
-        if not probe_bit_compatible(candidate):
-            continue
-        speed = _probe_speed(candidate)
-        # Prefer the alternate only on a clear (>5 %) win so that probe
-        # jitter does not flap the choice between equivalent kernels.
-        if speed < 0.95 * best[0]:
-            best = (speed, candidate)
-    return best[1]
+    name = name or os.environ.get(BACKEND_ENV_VAR)
+    return create_backend(name) if name else NumpyBackend()
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +94,7 @@ def set_backend(backend: DSPBackend | str | None) -> DSPBackend | None:
     global _current
     previous = _current
     if isinstance(backend, str):
-        backend = (
-            select_backend() if backend == AUTO else create_backend(backend)
-        )
+        backend = create_backend(backend)
     _current = backend
     return previous
 

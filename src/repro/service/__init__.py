@@ -3,18 +3,14 @@
 ``repro.service`` turns the repo's pure pipeline into a deployable
 asyncio service (the flow PIANO's paper targets: an auth request arrives,
 the ranging protocol runs, accept/reject streams back within a speech
-interaction).  Nine modules:
+interaction).  Eight modules:
 
 * **protocol** — the wire messages (flat frozen dataclasses) and their
   newline-delimited JSON codec, plus the request → trial mapping and the
   PIANO aggregate decision rule;
 * **scheduler** — :class:`BatchingScheduler`, which coalesces the
   deterministic DSP of concurrent in-flight rounds into stacked
-  ``render_arrivals`` + ``detect_batch`` passes on a DSP executor
-  (threads of the serving process, or a spawned process pool);
-* **executor** — :class:`RoundDSPJob`, the picklable projection of a
-  round's deterministic DSP, and the batch function that executes it
-  identically on any substrate;
+  ``render_arrivals`` + ``detect_batch`` passes on its one DSP thread;
 * **server** — :class:`AuthService`: request validation, the per-round
   stage drive (RNG stages on the request path, DSP via the scheduler),
   decision streaming, graceful draining, and the JSON-lines TCP/unix
@@ -43,16 +39,16 @@ interaction).  Nine modules:
 Contracts (details in ``docs/service.md``):
 
 * **Determinism** — a served decision is bit-identical to the same trial
-  executed by the CLI engine, at any ``--workers`` count and under
-  either DSP executor; round ``i`` of a request is trial
-  ``first_trial + i`` of the equivalent ``TrialSpec`` cell.
+  executed by the CLI engine, at any ``--workers`` count; round ``i``
+  of a request is trial ``first_trial + i`` of the equivalent
+  ``TrialSpec`` cell.
 * **Throughput** — concurrent requests share stacked DSP passes, so the
   service inherits the batched hot path instead of paying
   request-at-a-time kernel dispatch.
 * **Backpressure** — a bounded round queue; excess requests receive a
   ``busy`` error instead of unbounded queueing.
 * **Graceful shutdown** — draining finishes accepted streams, answers
-  new requests with ``busy``, and closes the DSP executors.
+  new requests with ``busy``, and closes the DSP threads.
 * **Fail closed** — every failure path (deadline expiry, DSP timeout,
   worker crash, unexpected exception) produces a structured error
   reply, never a grant; under any injected fault schedule the granted
@@ -71,7 +67,6 @@ from repro.service.client import (
     ServedAuthentication,
     ServiceError,
 )
-from repro.service.executor import RoundDSPJob, execute_dsp_jobs, round_dsp_job
 from repro.service.faults import (
     BusyOnce,
     DelayBatch,
@@ -102,7 +97,6 @@ from repro.service.protocol import (
     round_decision,
 )
 from repro.service.scheduler import (
-    DSP_EXECUTOR_KINDS,
     BatchingScheduler,
     DeadlineExceeded,
     SchedulerStats,
@@ -116,7 +110,6 @@ from repro.service.shard import (
 )
 
 __all__ = [
-    "DSP_EXECUTOR_KINDS",
     "ERROR_CODES",
     "MESSAGE_TYPES",
     "RETRIABLE_ERROR_CODES",
@@ -141,7 +134,6 @@ __all__ = [
     "RangingRequest",
     "RequestComplete",
     "RetryPolicy",
-    "RoundDSPJob",
     "RoundDecision",
     "SchedulerStats",
     "ServedAuthentication",
@@ -153,11 +145,9 @@ __all__ = [
     "aggregate_decision",
     "decode_message",
     "encode_message",
-    "execute_dsp_jobs",
     "request_spec",
     "robust_sigma",
     "round_decision",
-    "round_dsp_job",
     "run_loadgen",
     "session_key",
     "shard_for_session",

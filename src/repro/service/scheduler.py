@@ -7,10 +7,10 @@ on the event loop, then hands the round's pure-data remainder to a
 round pending at that moment (up to ``max_batch``, lingering
 ``linger_ms`` for stragglers) and executes the deterministic half of the
 pipeline — :func:`~repro.sim.pipeline.render_arrivals` plus the stacked
-:func:`~repro.sim.pipeline.detect_batch` — as **one** batch on a DSP
-executor thread.  Concurrent in-flight requests therefore inherit the
-batched hot path's throughput exactly as ``--batch`` trials do, while the
-event loop stays free to prepare the next rounds.
+:func:`~repro.sim.pipeline.detect_batch` — as **one** batch on the
+scheduler's DSP thread.  Concurrent in-flight requests therefore inherit
+the batched hot path's throughput exactly as ``--batch`` trials do, while
+the event loop stays free to prepare the next rounds.
 
 Determinism: batch composition is a scheduling decision, never a
 numerical one (invariant 2 of :mod:`repro.sim.pipeline`), so *which*
@@ -33,22 +33,16 @@ the unfaulted/undeadlined run.  Independently, ``dsp_timeout_s`` bounds
 how long one stacked pass may take on the executor; a pass that exceeds
 it fails all its rounds closed with :class:`DeadlineExceeded` and marks
 the executor *suspect* (``SchedulerStats.dsp_timeouts``) — a wedged DSP
-job can stall its own batch, never the service.
+job can stall its own batch, never the event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.service.executor import (
-    execute_dsp_jobs,
-    round_dsp_job,
-    warm_worker,
-)
 from repro.service.faults import FaultInjector
 from repro.sim.pipeline import (
     DEFAULT_BATCH_SIZE,
@@ -63,17 +57,10 @@ from repro.sim.pipeline import (
 
 __all__ = [
     "BatchingScheduler",
-    "DSP_EXECUTOR_KINDS",
     "DeadlineExceeded",
     "SchedulerStats",
     "ServiceOverloaded",
 ]
-
-#: Accepted values of the scheduler's ``dsp_executor`` knob (the CLI's
-#: ``--dsp-executor``): ``thread`` keeps stacked passes on executor
-#: threads of the serving process; ``process`` ships them to a
-#: ``ProcessPoolExecutor`` so the DSP runs on real cores.
-DSP_EXECUTOR_KINDS = ("thread", "process")
 
 
 class ServiceOverloaded(RuntimeError):
@@ -180,6 +167,11 @@ def _execute_rounds(
 class BatchingScheduler:
     """Batches concurrent rounds into stacked DSP passes.
 
+    Stacked passes run one at a time on the scheduler's own one-thread
+    executor: the collector awaits each pass before gathering the next,
+    and pocketfft releases the GIL, so the pass overlaps the event loop's
+    request path.
+
     Parameters
     ----------
     max_batch:
@@ -195,35 +187,14 @@ class BatchingScheduler:
     max_pending:
         Queue limit; further :meth:`run_round` calls raise
         :class:`ServiceOverloaded` until the backlog drains.
-    dsp_workers:
-        Workers in the internally owned DSP executor — threads for
-        ``dsp_executor="thread"``, processes for ``"process"``.  The
-        default of 1 serializes stacked passes (batches already use the
-        kernels' internal batching; more workers only help multi-core
-        hosts).
-    dsp_executor:
-        ``"thread"`` (default) runs stacked passes on executor threads of
-        the serving process — zero serialization cost, but the GIL keeps
-        render/detect from overlapping the request path on most hosts.
-        ``"process"`` ships each batch as picklable
-        :class:`~repro.service.executor.RoundDSPJob`\\ s to a
-        ``ProcessPoolExecutor`` (spawned, warmed at :meth:`start`), so
-        the heavy phase runs on real cores while the asyncio loop only
-        does protocol, coalescing, and decide.  Decisions are
-        bit-identical either way.  Rounds whose ranging engine is not the
-        stock ACTION cannot be shipped and fall back to an in-process
-        thread for their batch.
-    executor:
-        Externally owned executor to use instead; it is not shut down by
-        :meth:`stop`.  With ``dsp_executor="process"`` it must be a
-        process pool whose workers can import :mod:`repro`.
     dsp_timeout_s:
         Upper bound on one stacked pass.  A pass that exceeds it fails
         every round in its batch with :class:`DeadlineExceeded` (the
         server answers ``timeout``, a deny) and increments
-        ``stats.dsp_timeouts`` — the executor is then *suspect*; the
-        abandoned work may still be burning a worker underneath.
-        ``None`` (default) never times a pass out.
+        ``stats.dsp_timeouts`` — the executor is then *suspect*: the
+        abandoned pass keeps running on the one DSP thread, so the next
+        passes queue behind it and fail closed the same way until it
+        ends.  ``None`` (default) never times a pass out.
     faults:
         Optional :class:`~repro.service.faults.FaultInjector` supplying
         deterministic batch-admission delays for tests and the chaos
@@ -236,9 +207,6 @@ class BatchingScheduler:
         *,
         linger_ms: float = 5.0,
         max_pending: int = 256,
-        dsp_workers: int = 1,
-        dsp_executor: str = "thread",
-        executor: Executor | None = None,
         dsp_timeout_s: float | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
@@ -248,13 +216,6 @@ class BatchingScheduler:
             raise ValueError(f"max_pending must be >= 1, got {max_pending!r}")
         if linger_ms < 0:
             raise ValueError(f"linger_ms must be >= 0, got {linger_ms!r}")
-        if dsp_workers < 1:
-            raise ValueError(f"dsp_workers must be >= 1, got {dsp_workers!r}")
-        if dsp_executor not in DSP_EXECUTOR_KINDS:
-            raise ValueError(
-                f"dsp_executor must be one of {DSP_EXECUTOR_KINDS}, "
-                f"got {dsp_executor!r}"
-            )
         if dsp_timeout_s is not None and dsp_timeout_s <= 0:
             raise ValueError(
                 f"dsp_timeout_s must be > 0, got {dsp_timeout_s!r}"
@@ -264,8 +225,6 @@ class BatchingScheduler:
         self.faults = faults
         self.linger_s = linger_ms / 1000.0
         self.max_pending = max_pending
-        self.dsp_workers = dsp_workers
-        self.dsp_executor = dsp_executor
         self.stats = SchedulerStats()
         #: Rounds announced (via :meth:`announce`) but not yet submitted:
         #: the collector lingers only while this is positive, so a lone
@@ -274,8 +233,7 @@ class BatchingScheduler:
         self._queue: asyncio.Queue[_PendingRound] = asyncio.Queue(
             maxsize=max_pending
         )
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor: ThreadPoolExecutor | None = None
         self._collector: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -287,39 +245,25 @@ class BatchingScheduler:
         return self._collector is not None and not self._collector.done()
 
     async def start(self) -> None:
-        """Start the collector task (idempotent).
-
-        In ``process`` mode this spawns and warms the worker pool before
-        the first round arrives, so the first stacked pass pays no
-        worker-import latency.
-        """
+        """Start the collector task and its DSP thread (idempotent)."""
         if self.running:
             return
         if self._executor is None:
-            if self.dsp_executor == "process":
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.dsp_workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-                loop = asyncio.get_running_loop()
-                await asyncio.gather(
-                    *(
-                        loop.run_in_executor(self._executor, warm_worker)
-                        for _ in range(self.dsp_workers)
-                    )
-                )
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.dsp_workers,
-                    thread_name_prefix="repro-dsp",
-                )
-            self._owns_executor = True
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-dsp"
+            )
         self._collector = asyncio.get_running_loop().create_task(
             self._collect()
         )
 
     async def stop(self) -> None:
-        """Cancel the collector and fail anything still queued."""
+        """Cancel the collector, fail anything still queued, and shut the
+        DSP thread down.
+
+        The shutdown waits for a pass that ``dsp_timeout_s`` abandoned to
+        end, so it is awaited on a helper thread: the event loop keeps
+        serving other tasks meanwhile.
+        """
         if self._collector is not None:
             self._collector.cancel()
             try:
@@ -333,9 +277,9 @@ class BatchingScheduler:
                 item.future.set_exception(
                     ServiceOverloaded("scheduler stopped")
                 )
-        if self._owns_executor and self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            await asyncio.to_thread(executor.shutdown, wait=True)
 
     async def __aenter__(self) -> "BatchingScheduler":
         await self.start()
@@ -446,27 +390,10 @@ class BatchingScheduler:
     def _submit_batch(
         self, batch: list[_PendingRound]
     ) -> "asyncio.Future[list[tuple[RenderedRecordings, DetectionPair]]]":
-        """Hand one batch to the configured executor.
-
-        In ``process`` mode the batch is projected onto picklable
-        :class:`~repro.service.executor.RoundDSPJob`\\ s first; a batch
-        containing a round the projection rejects (non-stock ranging
-        engine) falls back to an in-process thread, preserving behaviour
-        for exotic engines without poisoning the pool.
-        """
-        loop = asyncio.get_running_loop()
-        if self.dsp_executor == "process":
-            jobs = [
-                round_dsp_job(item.context, item.negotiation, item.planned)
-                for item in batch
-            ]
-            if all(job is not None for job in jobs):
-                return loop.run_in_executor(
-                    self._executor, execute_dsp_jobs, jobs
-                )
-            # ``None`` = the loop's default thread pool.
-            return loop.run_in_executor(None, _execute_rounds, batch)
-        return loop.run_in_executor(self._executor, _execute_rounds, batch)
+        """Hand one batch to the DSP thread."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, _execute_rounds, batch
+        )
 
     async def _dispatch(
         self, batch: list[_PendingRound], waited_s: float = 0.0
@@ -510,7 +437,7 @@ class BatchingScheduler:
                 results = await submitted
         except asyncio.TimeoutError:
             # The executor is now suspect: wait_for abandoned the pass,
-            # but the work may still be burning a worker underneath.
+            # but the work may still be running on the DSP thread.
             self.stats.dsp_timeouts += 1
             for item in batch:
                 if not item.future.done():

@@ -12,7 +12,7 @@ Request lifecycle (see ``docs/service.md`` for the full narrative):
 3. the round's deterministic DSP is submitted to the
    :class:`~repro.service.scheduler.BatchingScheduler`, which coalesces
    it with whatever other requests are in flight into one stacked
-   ``render_arrivals`` + ``detect_batch`` pass on the DSP executor;
+   ``render_arrivals`` + ``detect_batch`` pass on the DSP thread;
 4. ``exchange_and_decide`` runs back on the request path, and the
    round's :class:`~repro.service.protocol.RoundDecision` streams to the
    caller immediately;
@@ -140,14 +140,6 @@ class AuthService:
     queue_limit:
         Backpressure: max rounds queued for DSP before new requests are
         rejected with a ``busy`` error.
-    dsp_workers:
-        Workers on the DSP executor (1 serializes stacked passes).
-    dsp_executor:
-        ``"thread"`` (default) runs stacked DSP passes on executor
-        threads of the serving process; ``"process"`` ships them to a
-        spawned ``ProcessPoolExecutor`` so the heavy phase escapes the
-        GIL (see :mod:`repro.service.executor`).  Bit-identical either
-        way.
     shard_index / shard_count:
         This server's position in the sharded front tier, echoed in
         :class:`~repro.service.protocol.StatsReply` messages.  The
@@ -183,8 +175,6 @@ class AuthService:
         batch_size: int | None = None,
         linger_ms: float = 5.0,
         queue_limit: int = 256,
-        dsp_workers: int = 1,
-        dsp_executor: str = "thread",
         shard_index: int = 0,
         shard_count: int = 1,
         max_inflight_rounds: int = 32,
@@ -198,8 +188,6 @@ class AuthService:
             batch_size,
             linger_ms=linger_ms,
             max_pending=queue_limit,
-            dsp_workers=dsp_workers,
-            dsp_executor=dsp_executor,
             dsp_timeout_s=dsp_timeout_s,
             faults=self.faults,
         )

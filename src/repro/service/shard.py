@@ -202,8 +202,8 @@ class ShardedAuthServer:
         directory by default.
     service_options:
         Keyword arguments forwarded to every worker's ``AuthService``
-        (``batch_size``, ``linger_ms``, ``queue_limit``, ``dsp_workers``,
-        ``dsp_executor``, ``max_inflight_rounds``, ``dsp_timeout_s``).
+        (``batch_size``, ``linger_ms``, ``queue_limit``,
+        ``max_inflight_rounds``, ``dsp_timeout_s``).
         Must be picklable — they cross the spawn boundary.
     ready_timeout:
         Seconds to wait for each worker's socket to accept connections

@@ -41,7 +41,6 @@ from repro.sim.pipeline.batch import (
     DEFAULT_BATCH_SIZE,
     BatchedSessionRunner,
     detect_batch,
-    detect_batch_grouped,
 )
 from repro.sim.pipeline.reference import run_monolithic
 from repro.sim.pipeline.stages import (
@@ -85,7 +84,6 @@ __all__ = [
     "SessionTiming",
     "detect",
     "detect_batch",
-    "detect_batch_grouped",
     "exchange",
     "exchange_and_decide",
     "negotiate",

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.action import ActionRanging, SignalPair
+from repro.core.action import ActionRanging
 from repro.core.ranging import RangingOutcome
 from repro.sim.pipeline.stages import (
     DetectionPair,
@@ -61,14 +61,15 @@ __all__ = [
     "BatchedSessionRunner",
     "DEFAULT_BATCH_SIZE",
     "detect_batch",
-    "detect_batch_grouped",
 ]
 
 #: Auto batch size: large enough that the shared coarse pass and the
 #: stacked arrival convolutions amortize their dispatch overhead, small
 #: enough that a batch's 2·B capture buffers stay a modest memory
-#: footprint.  (FFT work is chunked independently — see the calibrated
-#: :attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows`.)
+#: footprint.  (FFT work is chunked independently, at
+#: :attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows` windows per
+#: dispatch: ``DEFAULT_FFT_CHUNK_WINDOWS`` (512) unless ``REPRO_DSP_CHUNK``
+#: or the backend's constructor sets it.)
 DEFAULT_BATCH_SIZE = 16
 
 
@@ -106,73 +107,37 @@ def detect_batch(
     (coalesced concurrent requests) route through it.
     """
     results: dict[int, DetectionPair] = {}
-    stackable: list[int] = []
+    groups: dict[tuple, list[int]] = {}
     for index, (ctx, negotiation, recordings) in enumerate(entries):
         if _stackable_action(ctx.action):
-            stackable.append(index)
+            key = (
+                ctx.action.config,
+                recordings.auth.shape[0],
+                recordings.vouch.shape[0],
+            )
+            groups.setdefault(key, []).append(index)
         else:
             results[index] = detect(ctx, negotiation, recordings)
 
-    grouped = detect_batch_grouped(
-        [
-            (
-                entries[i][0].action,
-                entries[i][1].signals,
-                entries[i][0].auth_device.sample_rate,
-                entries[i][0].vouch_device.sample_rate,
-                entries[i][2],
-            )
-            for i in stackable
-        ]
-    )
-    for index, pair in zip(stackable, grouped):
-        results[index] = pair
-    return [results[index] for index in range(len(entries))]
-
-
-def detect_batch_grouped(
-    entries: Sequence[
-        tuple[ActionRanging, SignalPair, float, float, RenderedRecordings]
-    ],
-) -> list[DetectionPair]:
-    """Stacked Step IV over pure per-round data — no session objects.
-
-    Each entry is ``(action, signals, auth_sample_rate, vouch_sample_rate,
-    recordings)``.  This is the substrate-independent core of
-    :func:`detect_batch`: everything it consumes is picklable data plus an
-    :class:`~repro.core.action.ActionRanging` whose behaviour depends only
-    on its (hashable) protocol config — which is what lets the streaming
-    service ship a batch's detection to a worker *process* (rebuilding the
-    action from the config over there) and still produce the exact bits
-    the in-process path produces.  Entries are grouped by (config,
-    recording lengths) and each group runs as one stacked
-    ``observe_batch`` pass; results come back in input order.
-    """
-    results: dict[int, DetectionPair] = {}
-    groups: dict[tuple, list[int]] = {}
-    for index, (action, _, _, _, recordings) in enumerate(entries):
-        key = (
-            action.config,
-            recordings.auth.shape[0],
-            recordings.vouch.shape[0],
-        )
-        groups.setdefault(key, []).append(index)
-
     for members in groups.values():
-        action = entries[members[0]][0]
-        assert isinstance(action, ActionRanging)
         recordings = np.stack(
             [
                 recording
                 for i in members
-                for recording in (entries[i][4].auth, entries[i][4].vouch)
+                for recording in (entries[i][2].auth, entries[i][2].vouch)
             ]
         )
         scans = []
         for i in members:
-            _, signals, auth_rate, vouch_rate, _ = entries[i]
-            scans.append((signals.auth, signals.vouch, auth_rate))
-            scans.append((signals.vouch, signals.auth, vouch_rate))
+            ctx, negotiation, _ = entries[i]
+            signals = negotiation.signals
+            scans.append(
+                (signals.auth, signals.vouch, ctx.auth_device.sample_rate)
+            )
+            scans.append(
+                (signals.vouch, signals.auth, ctx.vouch_device.sample_rate)
+            )
+        action = entries[members[0]][0].action
         observations = action.observe_batch(recordings, scans)
         for position, index in enumerate(members):
             results[index] = DetectionPair(

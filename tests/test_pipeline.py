@@ -18,6 +18,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.detection import FrequencyDetector
 from repro.core.ranging import RangingOutcome
 from repro.core.signal_construction import signal_from_indices
+from repro.corpus import mini_environment, mini_protocol_config
 from repro.eval.engine import (
     AUTH,
     VOUCH,
@@ -33,7 +34,12 @@ from repro.eval.registry import run_experiment
 from repro.eval.trials import ConcurrentUsersInterference
 from repro.sim.pipeline import (
     BatchedSessionRunner,
+    detect,
+    detect_batch,
+    negotiate,
+    render,
     run_monolithic,
+    schedule,
 )
 
 
@@ -166,6 +172,36 @@ def test_batch_runner_rejects_bad_batch_size():
         BatchedSessionRunner(0)
 
 
+def test_detect_batch_matches_per_entry_detect():
+    """Stacking groups, per-session fallbacks, and input order.
+
+    Stock ACTION and ACTION-CC sessions under two protocol configs are
+    interleaved, so one call holds two stacking groups (one per config)
+    plus the ACTION-CC sessions that fall back to per-session ``detect``.
+    """
+    mini = mini_protocol_config()
+    paper_cell = dict(environment="office", distance_m=1.0, n_trials=2)
+    mini_cell = dict(
+        environment=mini_environment(), distance_m=0.5, n_trials=2, config=mini
+    )
+    specs = [
+        TrialSpec(seed=3, **paper_cell),
+        TrialSpec(seed=3, **mini_cell),
+        TrialSpec(seed=5, engine=ActionCCRanging(ProtocolConfig()), **paper_cell),
+        TrialSpec(seed=5, engine=ActionCCRanging(mini), **mini_cell),
+    ]
+    entries = []
+    for sessions in zip(*(build_sessions(spec) for spec in specs)):
+        for session in sessions:
+            ctx, rng = session.context, session.rng
+            negotiation = negotiate(ctx, rng)
+            assert negotiation.failure is None
+            recordings = render(ctx, schedule(ctx, negotiation, rng), rng)
+            entries.append((ctx, negotiation, recordings))
+
+    assert detect_batch(entries) == [detect(*entry) for entry in entries]
+
+
 # ----------------------------------------------------------------------
 # Experiment tables: --batch N must not change a single output byte.
 # ----------------------------------------------------------------------
@@ -190,29 +226,20 @@ def test_experiment_tables_batch_invariant(name, trials):
     assert batched == serial
 
 
-def test_experiment_tables_backend_invariant():
-    """Auto-selection (and any probe-passing backend) leaves table bytes.
+def test_experiment_tables_backend_invariant(monkeypatch):
+    """The default backend reproduces the numpy reference tables.
 
-    The numpy default is the reference; the auto-selector may only ever
-    install a backend whose FFT kernel probed bit-identical to numpy on
-    this host, so the selected backend — whichever it is — must
-    reproduce the reference tables byte for byte.
+    With no explicit choice (no ``--dsp-backend``, no env var), selection
+    installs the numpy reference, so experiment tables are byte-identical
+    to a run pinned to it.
     """
-    from repro.dsp.backend import (
-        ScipyBackend,
-        probe_bit_compatible,
-        select_backend,
-        use_backend,
-    )
+    from repro.dsp.backend import BACKEND_ENV_VAR, select_backend, use_backend
 
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     with use_backend("numpy"):
         reference = _experiment_text("fig1", 16, 2)
     with use_backend(select_backend()):
         assert _experiment_text("fig1", 16, 2) == reference
-    scipy_backend = ScipyBackend()
-    if probe_bit_compatible(scipy_backend):
-        with use_backend(scipy_backend):
-            assert _experiment_text("fig1", 16, 2) == reference
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -246,6 +247,43 @@ def test_wedged_dsp_pass_times_out_closed_and_marks_suspect():
     assert isinstance(reply, ErrorReply)
     assert reply.code == "timeout" and reply.retriable
     assert stats.dsp_timeouts == 1
+
+
+def test_stop_after_dsp_timeout_keeps_the_loop_running():
+    # The abandoned 1 s pass still holds the DSP thread when stop() waits
+    # for it; a 10 ms ticker must keep running on the loop meanwhile.
+    async def go():
+        loop = asyncio.get_running_loop()
+        async with AuthService(batch_size=2, dsp_timeout_s=0.05) as service:
+            scheduler = service.scheduler
+            scheduler._submit_batch = lambda batch: loop.run_in_executor(
+                scheduler._executor, time.sleep, 1.0
+            )
+            (reply,) = await collect(service, ranging_request(rounds=1))
+            gaps: list[float] = []
+            ticking = True
+
+            async def tick():
+                last = loop.time()
+                while ticking:
+                    await asyncio.sleep(0.01)
+                    now = loop.time()
+                    gaps.append(now - last)
+                    last = now
+
+            ticker = loop.create_task(tick())
+            await asyncio.sleep(0.02)
+            started = loop.time()
+            await scheduler.stop()
+            stop_s = loop.time() - started
+            ticking = False
+            await ticker
+        return reply, stop_s, max(gaps)
+
+    reply, stop_s, largest_gap_s = run_async(go())
+    assert isinstance(reply, ErrorReply) and reply.code == "timeout"
+    assert stop_s > 0.5  # stop() really waited for the abandoned pass
+    assert largest_gap_s < 0.25
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,11 @@
 Covers the scaling contracts of ``docs/service.md``:
 
 * **bit-identity at any worker count** — decisions served through the
-  sharded front tier at ``--workers`` 1/2/4, and through the
-  process-pool DSP executor, are bit-identical to ``run_cell_spec``;
+  sharded front tier at ``--workers`` 1/2/4 are bit-identical to
+  ``run_cell_spec``;
 * **routing stability** — one session's requests always land on one
   shard, under any request framing, in any process;
-* **backpressure** — a saturated DSP pool surfaces as a ``busy`` error;
+* **backpressure** — a saturated DSP lane surfaces as a ``busy`` error;
 * **graceful shutdown** — draining finishes in-flight streams while new
   requests get ``busy``, both in-process and through a worker SIGTERM;
 * **telemetry** — the ``stats`` wire message reports the scheduler's
@@ -106,39 +106,6 @@ def test_shard_routing_is_stable_and_covers_all_shards():
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: process-pool DSP executor
-# ----------------------------------------------------------------------
-
-
-def test_process_executor_matches_engine_cell():
-    outcomes = engine_outcomes(0.8, 3)
-
-    async def go():
-        async with AuthService(dsp_executor="process", dsp_workers=1) as service:
-            request = RangingRequest(
-                request_id="r",
-                environment=ENV,
-                distance_m=0.8,
-                seed=SEED,
-                rounds=3,
-                threshold_m=2.0,
-            )
-            messages = [m async for m in service.handle_request(request)]
-            return messages, service.stats_reply("s")
-
-    messages, stats = run_async(go())
-    assert isinstance(messages[-1], RequestComplete)
-    decisions = messages[:-1]
-    assert len(decisions) == 3
-    for decision, outcome in zip(decisions, outcomes):
-        assert_matches_outcome(decision, outcome)
-    # The three eager rounds coalesced through the process pool.
-    assert stats.rounds == 3
-    assert stats.batches >= 1
-    assert stats.batch_histogram  # non-empty "size:count" text
-
-
-# ----------------------------------------------------------------------
 # Bit-identity: sharded front tier at several worker counts
 # ----------------------------------------------------------------------
 
@@ -198,7 +165,6 @@ def test_saturated_pool_surfaces_busy_over_tcp():
             batch_size=1,
             linger_ms=0.0,
             queue_limit=2,
-            dsp_workers=1,
             max_inflight_rounds=64,
         )
         async with service:

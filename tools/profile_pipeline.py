@@ -91,7 +91,10 @@ def main() -> int:
         "--dsp-backend",
         default=None,
         metavar="NAME",
-        help="profile under a specific DSP backend (default: auto-selected)",
+        help=(
+            "profile under a specific DSP backend (default: the "
+            "REPRO_DSP_BACKEND env var if set, else numpy)"
+        ),
     )
     args = parser.parse_args()
 
