@@ -32,6 +32,7 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 from typing import Sequence
 
 from repro.dsp.backend import (
@@ -59,7 +60,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+def _add_engine_options(
+    parser: argparse.ArgumentParser, *, cache_dir: bool = False
+) -> None:
     parser.add_argument(
         "--jobs",
         type=_positive_int,
@@ -81,23 +84,13 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
             "for any value."
         ),
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist shareable measurements as JSON under DIR",
-    )
-    parser.add_argument(
-        "--corpus",
-        default=None,
-        metavar="DIR",
-        help=(
-            "attach a capture corpus at DIR as a cache tier: cells "
-            "recorded there replay render-free (detect/decide only, "
-            "byte-verified), cells executed live are recorded into it "
-            "(docs/corpus.md)"
-        ),
-    )
+    if cache_dir:
+        parser.add_argument(
+            "--cache-dir",
+            default=None,
+            metavar="DIR",
+            help="persist shareable measurements as JSON under DIR",
+        )
     parser.add_argument(
         "--dsp-backend",
         default=None,
@@ -139,12 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--quick", action="store_true", help="reduced trial counts"
     )
-    _add_engine_options(run_parser)
+    _add_engine_options(run_parser, cache_dir=True)
 
     all_parser = sub.add_parser("run-all", help="run every experiment")
     all_parser.add_argument("--seed", type=int, default=0)
     all_parser.add_argument("--quick", action="store_true")
-    _add_engine_options(all_parser)
+    _add_engine_options(all_parser, cache_dir=True)
 
     roc_parser = sub.add_parser(
         "roc",
@@ -177,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
             "0.25-2.125 m in 0.125 m steps)"
         ),
     )
-    _add_engine_options(roc_parser)
+    _add_engine_options(roc_parser, cache_dir=True)
 
     capture_parser = sub.add_parser(
         "capture",
@@ -190,6 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
             "detect/decide and byte-verifies every decision.  "
             "See docs/corpus.md."
         ),
+    )
+    capture_parser.add_argument(
+        "--corpus",
+        required=True,
+        metavar="DIR",
+        help="corpus root to record into (existing entries are replaced)",
     )
     capture_parser.add_argument(
         "--profile",
@@ -444,10 +443,9 @@ def _build_engine(args: argparse.Namespace) -> TrialEngine:
         progress = lambda line: print(f"  {line}", file=sys.stderr)  # noqa: E731
     return TrialEngine(
         jobs=args.jobs,
-        cache=MeasurementCache(disk_dir=args.cache_dir),
+        cache=MeasurementCache(disk_dir=getattr(args, "cache_dir", None)),
         progress=progress,
         batch_size=args.batch,
-        corpus=getattr(args, "corpus", None),
     )
 
 
@@ -500,11 +498,9 @@ def _cmd_roc(args: argparse.Namespace) -> int:
 
 
 def _cmd_capture(args: argparse.Namespace) -> int:
-    from repro.corpus import build_capture_specs
-    from repro.eval.engine import TrialPlan
+    """Record every spec live on the engine's pool; replay verifies."""
+    from repro.corpus import CaptureCorpus, build_capture_specs, record_cell_spec
 
-    if args.corpus is None:
-        raise SystemExit("capture: --corpus DIR is required")
     specs = build_capture_specs(
         profile=args.profile,
         environments=args.environments,
@@ -512,26 +508,19 @@ def _cmd_capture(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    start = time.time()
-    with use_engine(_build_engine(args)) as engine:
-        try:
-            engine.run_plan(TrialPlan(name="capture", specs=specs))
-        finally:
-            engine.close()
-        counters = engine.counters
-    print(
-        f"recorded {counters.cells_executed} cells "
-        f"({counters.trials_executed} trials) into {args.corpus}"
-        + (
-            f"; {counters.cells_replayed} already recorded (replayed + "
-            "byte-verified)"
-            if counters.cells_replayed
-            else ""
-        )
+    trials = sum(spec.n_trials for spec in specs)
+    record = partial(
+        record_cell_spec,
+        corpus=CaptureCorpus(args.corpus),
+        batch_size=args.batch,
     )
+    start = time.time()
+    with _build_engine(args) as engine:
+        engine.map_tasks(record, specs, label="capture", trials=trials)
+    print(f"recorded {len(specs)} cells ({trials} trials) into {args.corpus}")
     print(
         "[capture completed: "
-        + format_throughput(counters.trials_executed, time.time() - start)
+        + format_throughput(trials, time.time() - start)
         + "]"
     )
     return 0

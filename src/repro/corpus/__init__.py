@@ -2,8 +2,8 @@
 
 Render dominates a ranging round while detect/decide re-run in
 milliseconds, so persisting the render stage's output turns cross-version
-bit-identity, offline detector tuning, and realistic serving traffic into
-replay problems.  Four layers (see ``docs/corpus.md``):
+bit-identity and offline detector tuning into replay problems.  Three
+layers (see ``docs/corpus.md``):
 
 * **store** — :class:`CaptureCorpus`, an atomic, concurrent-writer-safe
   on-disk store addressed by
@@ -15,18 +15,11 @@ replay problems.  Four layers (see ``docs/corpus.md``):
 * **record/replay** — :func:`record_cell_spec` persists live cells;
   :class:`ReplayingSessionRunner` re-runs only the pipeline tail from
   stored captures, byte-verifying decisions in strict mode
-  (:mod:`repro.corpus.record`, :mod:`repro.corpus.replay`);
-* **cache tier** — :class:`CorpusCache` plugs the store behind the
-  engine's :class:`~repro.eval.engine.MeasurementCache`
-  (:mod:`repro.corpus.cache`).
+  (:mod:`repro.corpus.record`, :mod:`repro.corpus.replay`).
 
-CLI: ``repro capture`` records a corpus, ``repro replay`` verifies one,
-and ``--corpus DIR`` on ``run``/``run-all``/``roc`` attaches the tier to
-any experiment; ``tools/loadgen.py --corpus`` drives the serving tier
-with a corpus-derived request mix.
+CLI: ``repro capture`` records a corpus, ``repro replay`` verifies one.
 """
 
-from repro.corpus.cache import CorpusCache, CorpusCacheStats
 from repro.corpus.codec import (
     canonical_outcome_json,
     decode_recording,
@@ -57,8 +50,6 @@ from repro.corpus.store import (
 __all__ = [
     "CORPUS_FORMAT",
     "CaptureCorpus",
-    "CorpusCache",
-    "CorpusCacheStats",
     "CorpusError",
     "CorpusIntegrityError",
     "ReplayMismatchError",

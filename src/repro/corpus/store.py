@@ -9,7 +9,7 @@ Layout under one corpus root::
 The address is the cell's :meth:`~repro.eval.engine.TrialSpec.fingerprint`
 — the same content hash the :class:`~repro.eval.engine.MeasurementCache`
 keys on — so an entry recorded by any invocation (any ``--jobs``, any
-``--batch``) serves every later invocation that asks for the same
+``--batch``) is found again by every later replay of the same
 computation.
 
 Two properties the writers guarantee:
@@ -89,8 +89,8 @@ class CorpusIntegrityError(CorpusError):
     Raised for truncated or bit-flipped payloads (SHA-256 mismatch),
     unparseable manifests, and interrupted writes (payload without
     manifest or vice versa).  Deliberately *not* a silent miss: replay
-    and the engine's corpus tier propagate it instead of re-rendering,
-    so corruption surfaces in CI rather than hiding behind a recompute.
+    propagates it instead of re-rendering, so corruption surfaces in CI
+    rather than hiding behind a recompute.
     """
 
 

@@ -23,6 +23,7 @@ import copy
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -133,31 +134,10 @@ def run_cell_spec(
     return cell
 
 
-def _run_spec_chunk(
-    specs: list[TrialSpec],
-    batch_size: int | None = None,
-    corpus_dir: str | None = None,
-) -> list[CellResult]:
-    """Worker entry point: one pickled batch of cells per dispatch.
-
-    With ``corpus_dir`` set, each cell is recorded into the capture
-    corpus there as it executes — the store's atomic content-addressed
-    writes make concurrent workers safe (``docs/corpus.md``).
-    """
-    if corpus_dir is not None:
-        from repro.corpus import CaptureCorpus, record_cell_spec
-
-        corpus = CaptureCorpus(corpus_dir)
-        return [
-            record_cell_spec(spec, corpus, batch_size) for spec in specs
-        ]
-    return [run_cell_spec(spec, batch_size) for spec in specs]
-
-
 def _run_task_chunk(
     fn: Callable[[Any], Any], items: list[Any]
 ) -> list[Any]:
-    """Worker entry point for generic (non-ranging-cell) trial batches."""
+    """Worker entry point: one pickled batch of items per dispatch."""
     return [fn(item) for item in items]
 
 
@@ -168,10 +148,8 @@ class EngineCounters:
     plans: int = 0
     cells_executed: int = 0
     cells_cached: int = 0
-    cells_replayed: int = 0
     trials_executed: int = 0
     trials_cached: int = 0
-    trials_replayed: int = 0
     tasks_executed: int = 0
     elapsed_s: float = 0.0
 
@@ -184,10 +162,8 @@ class EngineCounters:
             plans=self.plans - earlier.plans,
             cells_executed=self.cells_executed - earlier.cells_executed,
             cells_cached=self.cells_cached - earlier.cells_cached,
-            cells_replayed=self.cells_replayed - earlier.cells_replayed,
             trials_executed=self.trials_executed - earlier.trials_executed,
             trials_cached=self.trials_cached - earlier.trials_cached,
-            trials_replayed=self.trials_replayed - earlier.trials_replayed,
             tasks_executed=self.tasks_executed - earlier.tasks_executed,
             elapsed_s=self.elapsed_s - earlier.elapsed_s,
         )
@@ -222,12 +198,6 @@ class TrialEngine:
         for every value — the knob trades memory for FFT-batch size, and
         the win multiplies with ``jobs`` since every worker batches its
         own chunk.
-    corpus:
-        Optional capture-corpus tier (a :class:`repro.corpus.CorpusCache`,
-        or a corpus root path to open one at).  Cells missing from the
-        measurement cache are replayed from the corpus when recorded
-        there — re-running only detect/decide, render-free — and
-        recorded into it as they execute live (the CLI's ``--corpus``).
     """
 
     def __init__(
@@ -237,7 +207,6 @@ class TrialEngine:
         progress: Callable[[str], None] | None = None,
         chunk_size: int | None = None,
         batch_size: int | None = None,
-        corpus: Any | None = None,
     ) -> None:
         resolved = os.cpu_count() or 1 if jobs is None else jobs
         if resolved < 1:
@@ -246,17 +215,11 @@ class TrialEngine:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-        if corpus is not None and isinstance(corpus, (str, os.PathLike)):
-            # Deferred import: repro.corpus imports this module at load.
-            from repro.corpus import CorpusCache
-
-            corpus = CorpusCache(corpus, batch_size=batch_size)
         self.jobs = resolved
         self.cache = cache if cache is not None else MeasurementCache()
         self.progress = progress
         self.chunk_size = chunk_size
         self.batch_size = batch_size
-        self.corpus = corpus
         self.counters = EngineCounters()
         self._pool: ProcessPoolExecutor | None = None
 
@@ -310,24 +273,6 @@ class TrialEngine:
                 missing.setdefault(key, []).append(index)
         cached = len(plan.specs) - sum(len(p) for p in missing.values())
 
-        replayed = 0
-        if missing and self.corpus is not None:
-            for key in list(missing):
-                positions = missing[key]
-                spec = plan.specs[positions[0]]
-                cell = self.corpus.fetch(spec)
-                if cell is None:
-                    continue
-                self.cache.put(key, cell)
-                first, *duplicates = positions
-                results[first] = cell
-                for index in duplicates:
-                    results[index] = copy.deepcopy(cell)
-                self.counters.cells_replayed += 1
-                self.counters.trials_replayed += spec.n_trials
-                replayed += len(positions)
-                del missing[key]
-
         if missing:
             indices = [positions[0] for positions in missing.values()]
             computed = self._execute_specs(
@@ -353,11 +298,6 @@ class TrialEngine:
             for i in positions[:1]
         )
         extra = f"{cached}/{len(plan.specs)} cells cached, jobs={self.jobs}"
-        if replayed:
-            extra = (
-                f"{cached}/{len(plan.specs)} cells cached, "
-                f"{replayed} replayed, jobs={self.jobs}"
-            )
         self._report(
             f"[{plan.name}] "
             + format_throughput(executed_trials, elapsed, extra=extra)
@@ -376,34 +316,20 @@ class TrialEngine:
             self.counters.trials_cached += spec.n_trials
             return value
         start = perf_counter()
-        if self.corpus is not None:
-            cell = self.corpus.fetch(spec)
-            if cell is not None:
-                self.cache.put(key, cell)
-                self.counters.cells_replayed += 1
-                self.counters.trials_replayed += spec.n_trials
-                self.counters.elapsed_s += perf_counter() - start
-                return cell
-        cell = self._execute_one(spec)
+        cell = run_cell_spec(spec, self.batch_size)
         self.cache.put(key, cell)
         self.counters.cells_executed += 1
         self.counters.trials_executed += spec.n_trials
         self.counters.elapsed_s += perf_counter() - start
         return cell
 
-    def _execute_one(self, spec: TrialSpec) -> CellResult:
-        """Run one cell in-process, recording it when a corpus is attached."""
-        if self.corpus is not None and self.corpus.record_on_miss:
-            return self.corpus.record(spec)
-        return run_cell_spec(spec, self.batch_size)
-
     def _execute_specs(
         self, specs: list[TrialSpec], label: str
     ) -> list[CellResult]:
+        run = partial(run_cell_spec, batch_size=self.batch_size)
         if self.jobs == 1 or len(specs) == 1:
-            return [self._execute_one(spec) for spec in specs]
-        chunks = self._chunk(specs)
-        parts = self._dispatch(chunks, label, len(specs))
+            return [run(spec) for spec in specs]
+        parts = self._dispatch(self._chunk(specs), label, len(specs), run)
         return [cell for part in parts for cell in part]
 
     # ------------------------------------------------------------------
@@ -432,7 +358,7 @@ class TrialEngine:
             results = [fn(item) for item in items]
         else:
             chunks = self._chunk(items)
-            parts = self._dispatch(chunks, label, len(items), fn=fn)
+            parts = self._dispatch(chunks, label, len(items), fn)
             results = [value for part in parts for value in part]
         elapsed = perf_counter() - start
         n_trials = len(items) if trials is None else trials
@@ -467,29 +393,14 @@ class TrialEngine:
         chunks: list[list[Any]],
         label: str,
         total: int,
-        fn: Callable[..., Any] | None = None,
+        fn: Callable[[Any], Any],
     ) -> list[list[Any]]:
-        """Run chunks on the pool, preserving order; report completions.
-
-        Without ``fn`` the chunks are :class:`TrialSpec` batches; with it
-        they are generic task batches mapped through ``fn``.
-        """
+        """Map ``fn`` over chunks on the pool in order; report completions."""
         pool = self._executor()
-        if fn is not None:
-            futures = {
-                pool.submit(_run_task_chunk, fn, chunk): position
-                for position, chunk in enumerate(chunks)
-            }
-        else:
-            corpus_dir = None
-            if self.corpus is not None and self.corpus.record_on_miss:
-                corpus_dir = str(self.corpus.corpus.root)
-            futures = {
-                pool.submit(
-                    _run_spec_chunk, chunk, self.batch_size, corpus_dir
-                ): position
-                for position, chunk in enumerate(chunks)
-            }
+        futures = {
+            pool.submit(_run_task_chunk, fn, chunk): position
+            for position, chunk in enumerate(chunks)
+        }
         parts: list[list[Any] | None] = [None] * len(chunks)
         done_items = 0
         pending = set(futures)

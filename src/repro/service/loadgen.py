@@ -25,9 +25,7 @@ The warmup prefix is excluded from the report; after the run the
 generator asks the server for its cumulative scheduler statistics
 (:meth:`~repro.service.AuthClient.stats`) and attaches one entry per
 shard.  :func:`run_loadgen` is the library entry point —
-``tools/loadgen.py`` is its CLI, and the scaling benchmark
-(``benchmarks/bench_pipeline.py --service-scaled``) calls it once per
-worker count.
+``tools/loadgen.py`` is its CLI.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "LoadgenReport",
     "RequestCycler",
     "RequestSample",
-    "request_mix_from_corpus",
     "request_mix_from_scenario",
     "run_loadgen",
 ]
@@ -203,51 +200,6 @@ class RequestCycler:
             "rounds": item["rounds"],
             "first_trial": (index // len(self.mix)) * item["rounds"],
         }
-
-
-def request_mix_from_corpus(
-    root: str, rounds: int | None = None
-) -> list[dict]:
-    """A request mix replaying a capture corpus's cells as live traffic.
-
-    Each servable corpus entry becomes one mix item carrying the
-    recorded cell's environment, distance, and seed — so the service
-    computes the very trials the corpus recorded, decision-for-decision
-    (the service and the recorder share one session construction path).
-    Servable means reconstructible, preset-environment, default-config:
-    the request schema names environments by preset and carries no config
-    override.  ``rounds`` caps rounds per request (default: each entry's
-    full trial count).
-    """
-    from repro.corpus import CaptureCorpus
-
-    corpus = CaptureCorpus(root, create=False)
-    mix: list[dict] = []
-    for fingerprint in corpus.fingerprints():
-        manifest = corpus.read_manifest(fingerprint)
-        spec = manifest.get("spec")
-        if spec is None:
-            continue
-        environment = spec.get("environment")
-        if not isinstance(environment, dict) or "preset" not in environment:
-            continue
-        if spec.get("config") is not None:
-            continue
-        mix.append(
-            {
-                "environment": environment["preset"],
-                "distance_m": manifest["distance_m"],
-                "seed": manifest["seed"],
-                "rounds": rounds or manifest["n_trials"],
-            }
-        )
-    if not mix:
-        raise ValueError(
-            f"corpus at {root} has no servable entries (preset "
-            "environment, default config) — record one with "
-            "`repro capture` at the paper profile"
-        )
-    return mix
 
 
 def request_mix_from_scenario(
@@ -437,7 +389,7 @@ async def run_loadgen(
     default, keeping steady-state benchmarks comparable to before).
     ``mix`` replaces the default seed-varied session pool with explicit
     request identities (see :class:`RequestCycler` and
-    :func:`request_mix_from_corpus`); ``sessions`` / ``environment`` /
+    :func:`request_mix_from_scenario`); ``sessions`` / ``environment`` /
     ``distance_m`` / ``seed_base`` are ignored when it is given.
     """
     if mode not in LOADGEN_MODES:

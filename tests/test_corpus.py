@@ -1,4 +1,4 @@
-"""Record/replay capture corpus: store, codec, replay, engine tier, CLI.
+"""Record/replay capture corpus: store, codec, replay, CLI.
 
 The contract under test (``docs/corpus.md``): recording a cell returns
 results byte-identical to live execution, replaying it re-runs only
@@ -18,7 +18,6 @@ import pytest
 
 from repro.corpus import (
     CaptureCorpus,
-    CorpusCache,
     CorpusError,
     CorpusIntegrityError,
     ReplayMismatchError,
@@ -33,7 +32,7 @@ from repro.corpus import (
     spec_from_manifest,
     spec_to_manifest,
 )
-from repro.eval.engine import TrialEngine, TrialPlan, TrialSpec, run_cell_spec
+from repro.eval.engine import TrialSpec, run_cell_spec
 from repro.sim.geometry import Room
 from repro.sim.pipeline import render_call_counts, reset_render_call_counts
 
@@ -364,84 +363,6 @@ def test_recording_codec_is_lossless_on_the_pcm16_grid():
     assert np.array_equal(
         decode_recording(encode_recording(off_grid)), off_grid
     )
-
-
-# ----------------------------------------------------------------------
-# Engine tier and CorpusCache
-# ----------------------------------------------------------------------
-
-
-def test_engine_records_then_replays(tmp_path, mini_specs, live_cells):
-    root = str(tmp_path / "corpus")
-    plan = TrialPlan(name="tier", specs=list(mini_specs))
-    first = TrialEngine(corpus=root)
-    results = first.run_plan(plan)
-    assert first.counters.cells_executed == len(mini_specs)
-    assert first.counters.cells_replayed == 0
-    assert [canon(c) for c in results] == [canon(c) for c in live_cells]
-
-    second = TrialEngine(corpus=root)
-    reset_render_call_counts()
-    again = second.run_plan(plan)
-    assert second.counters.cells_executed == 0
-    assert second.counters.cells_replayed == len(mini_specs)
-    assert second.counters.trials_replayed == sum(
-        s.n_trials for s in mini_specs
-    )
-    assert render_call_counts() == {"noise_plans": 0, "arrival_captures": 0}
-    assert [canon(c) for c in again] == [canon(c) for c in live_cells]
-    # Counter deltas carry the replay fields through since().
-    delta = second.counters.since(first.counters.snapshot())
-    assert delta.cells_replayed == len(mini_specs)
-
-
-def test_engine_run_cell_uses_the_corpus_tier(tmp_path, mini_specs):
-    root = str(tmp_path / "corpus")
-    TrialEngine(corpus=root).run_cell(mini_specs[0])
-    engine = TrialEngine(corpus=root)
-    engine.run_cell(mini_specs[0])
-    assert engine.counters.cells_replayed == 1
-    # A second ask hits the measurement cache, not the corpus.
-    engine.run_cell(mini_specs[0])
-    assert engine.counters.cells_replayed == 1
-    assert engine.counters.cells_cached == 1
-
-
-def test_engine_pool_workers_record_into_the_corpus(
-    tmp_path, mini_specs, live_cells
-):
-    root = tmp_path / "corpus"
-    with TrialEngine(jobs=2, chunk_size=1, corpus=str(root)) as engine:
-        results = engine.run_plan(
-            TrialPlan(name="pool", specs=list(mini_specs))
-        )
-    assert [canon(c) for c in results] == [canon(c) for c in live_cells]
-    recorded = CaptureCorpus(root, create=False)
-    assert recorded.fingerprints() == sorted(
-        s.fingerprint() for s in mini_specs
-    )
-
-
-def test_read_only_corpus_cache_never_writes(tmp_path, mini_specs):
-    root = tmp_path / "corpus"
-    cache = CorpusCache(root, record=False)
-    assert cache.fetch(mini_specs[0]) is None
-    assert cache.stats.misses == 1
-    engine = TrialEngine(corpus=cache)
-    engine.run_plan(TrialPlan(name="ro", specs=list(mini_specs)))
-    assert engine.counters.cells_executed == len(mini_specs)
-    assert CaptureCorpus(root).fingerprints() == []
-
-
-def test_corpus_cache_stats_accumulate(tmp_path, mini_specs):
-    cache = CorpusCache(tmp_path / "corpus")
-    cache.record(mini_specs[0])
-    assert cache.stats.recorded_cells == 1
-    assert cache.stats.recorded_trials == mini_specs[0].n_trials
-    assert cache.fetch(mini_specs[0]) is not None
-    assert cache.stats.replayed_cells == 1
-    assert cache.fetch(mini_specs[1]) is None
-    assert cache.stats.misses == 1
 
 
 # ----------------------------------------------------------------------

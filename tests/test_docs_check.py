@@ -47,3 +47,27 @@ def test_checker_catches_a_dangling_symbol(tmp_path, monkeypatch):
     assert "--warp-speed" in kinds
     assert "run-everything" in kinds
     assert "missing.md" in kinds
+
+
+def test_checker_checks_flags_against_their_own_subcommand(
+    tmp_path, monkeypatch
+):
+    """A flag that exists only on another subcommand is still reported."""
+    checker = _load_checker()
+    root = tmp_path
+    (root / "docs").mkdir()
+    (root / "README.md").write_text(
+        "```sh\n"
+        "python -m repro run fig1 --profile mini\n"
+        "python -m repro capture --corpus out/ \\\n"
+        "    --profile mini --quick\n"
+        "python -m repro scenario run home-reauth --jobs 2 --thresholds 1\n"
+        "```\n"
+        "capture takes `--profile NAME`\n"
+    )
+    monkeypatch.setattr(checker, "REPO_ROOT", root)
+    assert sorted(checker.run_checks()) == [
+        "README.md: unknown CLI flag '--profile' on 'repro run'",
+        "README.md: unknown CLI flag '--quick' on 'repro capture'",
+        "README.md: unknown CLI flag '--thresholds' on 'repro scenario run'",
+    ]

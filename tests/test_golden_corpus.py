@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from repro.corpus import (
     CaptureCorpus,
     ReplayingSessionRunner,
@@ -63,3 +66,39 @@ def test_golden_corpus_cli_replay_exits_clean(capsys):
     assert main(["replay", "--corpus", str(GOLDEN)]) == 0
     out = capsys.readouterr().out
     assert "render calls: 0 noise, 0 arrivals" in out
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_capture_rerecords_the_golden_corpus(tmp_path, capsys, jobs):
+    """The golden command re-records the golden entries at any ``--jobs``.
+
+    Manifests are compared without their host-stamped ``versions``; the
+    per-trial data (indices, RNG state, outcome) and the capture arrays
+    must match exactly.  Capturing again into the same root replaces
+    every entry and still replays clean.
+    """
+    from repro.cli import main
+
+    root = tmp_path / "corpus"
+    argv = (
+        "capture --profile mini --distances 0.5 3.0 --trials 2 --seed 2017"
+        f" --jobs {jobs}".split()
+        + ["--corpus", str(root)]
+    )
+    assert main(argv) == 0
+    golden = CaptureCorpus(GOLDEN, create=False)
+    captured = CaptureCorpus(root, create=False)
+    assert captured.fingerprints() == golden.fingerprints()
+    for fingerprint in golden.fingerprints():
+        assert (
+            captured.read_manifest(fingerprint)["trials"]
+            == golden.read_manifest(fingerprint)["trials"]
+        )
+        arrays = captured.read_arrays(fingerprint)
+        expected = golden.read_arrays(fingerprint)
+        assert arrays.keys() == expected.keys()
+        assert all(np.array_equal(arrays[k], expected[k]) for k in expected)
+
+    assert main(argv) == 0
+    assert main(["replay", "--corpus", str(root)]) == 0
+    assert "recorded 2 cells (4 trials)" in capsys.readouterr().out

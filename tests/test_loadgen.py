@@ -21,7 +21,6 @@ from repro.service.loadgen import (
     RequestCycler,
     RequestSample,
     _percentile,
-    request_mix_from_corpus,
     summarize,
 )
 
@@ -198,55 +197,6 @@ def test_explicit_mix_cycles_heterogeneous_identities():
 def test_empty_mix_is_rejected():
     with pytest.raises(ValueError):
         RequestCycler([])
-
-
-# ----------------------------------------------------------------------
-# Corpus-derived mixes
-# ----------------------------------------------------------------------
-
-
-def test_request_mix_from_corpus_filters_to_servable_entries(tmp_path):
-    from repro.corpus import CaptureCorpus, build_capture_specs, record_cell_spec
-    from repro.eval.engine import TrialSpec
-
-    corpus = CaptureCorpus(tmp_path / "corpus")
-    # Servable: preset environment, default config.
-    servable = TrialSpec(
-        environment="office", distance_m=1.0, n_trials=2, seed=5
-    )
-    record_cell_spec(servable, corpus)
-    # Not servable: the mini profile's custom environment and config
-    # cannot be named in a service request.
-    mini = build_capture_specs(
-        profile="mini", distances=[0.5], trials=2, seed=5
-    )[0]
-    record_cell_spec(mini, corpus)
-
-    mix = request_mix_from_corpus(str(tmp_path / "corpus"))
-    assert mix == [
-        {
-            "environment": "office",
-            "distance_m": 1.0,
-            "seed": 5,
-            "rounds": 2,
-        }
-    ]
-    capped = request_mix_from_corpus(str(tmp_path / "corpus"), rounds=1)
-    assert capped[0]["rounds"] == 1
-    # The mix feeds straight into a cycler.
-    assert RequestCycler(mix).next()["first_trial"] == 0
-
-
-def test_request_mix_from_corpus_rejects_unservable_corpora(tmp_path):
-    from repro.corpus import CaptureCorpus, build_capture_specs, record_cell_spec
-
-    corpus = CaptureCorpus(tmp_path / "corpus")
-    mini = build_capture_specs(
-        profile="mini", distances=[0.5], trials=2, seed=5
-    )[0]
-    record_cell_spec(mini, corpus)
-    with pytest.raises(ValueError, match="no servable entries"):
-        request_mix_from_corpus(str(tmp_path / "corpus"))
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,12 @@ does not resolve against the actual codebase:
   attribute by attribute (``repro.sim.pipeline.detect_batch`` must
   exist, not merely parse);
 * **CLI flags and subcommands** — every ``--flag`` on a ``python -m
-  repro …`` line inside a fenced shell block, and every inline code span
-  that is just a flag (optionally with a metavar, e.g. ``--batch N``),
-  must be registered on the argparse parser (`repro.cli.build_parser`),
-  and the subcommand must exist;
+  repro …`` line inside a fenced shell block (backslash continuations
+  joined) must be registered on that line's own subcommand parser
+  (`repro.cli.build_parser`, descending into nested subcommands such as
+  ``scenario run``), and the subcommand must exist; every inline code
+  span that is just a flag (optionally with a metavar, e.g.
+  ``--batch N``) must be registered on some parser;
 * **Relative links** — every ``[text](path)`` markdown link that is not
   an URL or anchor must point at an existing file.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -97,47 +100,82 @@ def resolve_symbol(dotted: str) -> str | None:
     return None
 
 
-def collect_cli_flags(text: str) -> tuple[set[str], set[str]]:
-    """(flags, subcommands) referenced for the ``repro`` CLI."""
-    flags: set[str] = set()
+def join_continuations(lines: list[str]) -> list[str]:
+    """Shell lines with trailing-backslash continuations joined."""
+    joined: list[str] = []
+    pending = ""
+    for line in lines:
+        if line.rstrip().endswith("\\"):
+            pending += line.rstrip()[:-1] + " "
+        else:
+            joined.append(pending + line)
+            pending = ""
+    return joined + ([pending] if pending else [])
+
+
+def collect_cli_flags(
+    text: str,
+) -> tuple[set[tuple[tuple[str, ...], str]], set[str], set[str]]:
+    """(code flags, prose flags, subcommands) referenced for the CLI.
+
+    Each code flag is paired with the words preceding the first flag on
+    its line (``("run", "fig1")``), which name the subcommand it must be
+    registered on.
+    """
+    code_flags: set[tuple[tuple[str, ...], str]] = set()
+    prose_flags: set[str] = set()
     commands: set[str] = set()
     prose, code = split_markdown(text)
-    for line in code:
+    for line in join_continuations(code):
         if "-m repro" not in line and "piano-repro" not in line:
             continue
         tail = re.split(r"-m repro|piano-repro", line, maxsplit=1)[1]
-        flags.update(FLAG_RE.findall(tail))
-        first = tail.split()
-        if first and not first[0].startswith("-"):
-            commands.add(first[0])
+        words = tuple(
+            itertools.takewhile(lambda w: not w.startswith("-"), tail.split())
+        )
+        code_flags.update((words, flag) for flag in FLAG_RE.findall(tail))
+        if words:
+            commands.add(words[0])
     for line in prose:
         for span in INLINE_CODE_RE.findall(line):
             match = INLINE_FLAG_RE.match(span.strip())
             if match:
-                flags.add(match.group(1))
-    return flags, commands
+                prose_flags.add(match.group(1))
+    return code_flags, prose_flags, commands
 
 
-def registered_cli_surface() -> tuple[set[str], set[str]]:
-    """(option strings, subcommand names) of the actual CLI parser."""
+def registered_cli_surface() -> dict[tuple[str, ...], set[str]]:
+    """Option strings of every parser, keyed by its subcommand path.
+
+    The top-level parser is ``()``, ``repro run`` is ``("run",)`` and
+    ``repro scenario run`` is ``("scenario", "run")``.
+    """
     from repro.cli import build_parser
 
-    parser = build_parser()
-    flags: set[str] = set()
-    commands: set[str] = set()
-    parsers = [parser]
+    surface: dict[tuple[str, ...], set[str]] = {}
+    parsers = [((), build_parser())]
     while parsers:
-        current = parsers.pop()
+        path, current = parsers.pop()
+        surface[path] = set()
         for action in current._actions:
-            flags.update(action.option_strings)
-            if hasattr(action, "choices") and isinstance(
-                action.choices, dict
-            ):
+            surface[path].update(action.option_strings)
+            if isinstance(action.choices, dict):
                 for name, sub in action.choices.items():
-                    commands.add(name)
                     if isinstance(sub, argparse.ArgumentParser):
-                        parsers.append(sub)
-    return flags, commands
+                        parsers.append((path + (name,), sub))
+    return surface
+
+
+def command_path(
+    words: tuple[str, ...], surface: dict[tuple[str, ...], set[str]]
+) -> tuple[str, ...]:
+    """The longest registered subcommand path that ``words`` starts with."""
+    path: tuple[str, ...] = ()
+    for word in words:
+        if path + (word,) not in surface:
+            break
+        path += (word,)
+    return path
 
 
 def collect_links(text: str) -> set[str]:
@@ -162,10 +200,20 @@ def check_document(path: Path, verbose: bool) -> list[str]:
         if failure is not None:
             problems.append(f"{label}: dangling symbol {symbol!r} ({failure})")
 
-    flags, commands = collect_cli_flags(text)
-    known_flags, known_commands = registered_cli_surface()
-    for flag in sorted(flags - known_flags):
-        problems.append(f"{label}: unknown CLI flag {flag!r}")
+    code_flags, prose_flags, commands = collect_cli_flags(text)
+    surface = registered_cli_surface()
+    known_flags = set().union(*surface.values())
+    known_commands = {command[-1] for command in surface if command}
+    unknown = {(flag, "") for flag in prose_flags - known_flags}
+    for words, flag in code_flags:
+        command = command_path(words, surface)
+        # An unknown subcommand is reported below; its flags only need
+        # to exist somewhere.
+        if flag not in (surface[command] if command else known_flags):
+            unknown.add((flag, " ".join(command)))
+    for flag, command in sorted(unknown):
+        where = f" on 'repro {command}'" if command else ""
+        problems.append(f"{label}: unknown CLI flag {flag!r}{where}")
     for command in sorted(commands - known_commands):
         problems.append(f"{label}: unknown CLI subcommand {command!r}")
 
@@ -177,6 +225,7 @@ def check_document(path: Path, verbose: bool) -> list[str]:
             problems.append(f"{label}: broken link {link!r}")
 
     if verbose:
+        flags = prose_flags | {flag for _, flag in code_flags}
         print(
             f"{label}: {len(symbols)} symbols, {len(flags)} flags, "
             f"{len(commands)} subcommands, {len(links)} links",

@@ -118,15 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 disables)",
     )
     parser.add_argument(
-        "--corpus",
-        metavar="DIR",
-        default=None,
-        help="derive the request mix from a capture corpus: one session "
-        "identity per servable recorded cell, so the server re-computes "
-        "the very trials the corpus holds (overrides --sessions/"
-        "--environment/--distance/--seed; see docs/corpus.md)",
-    )
-    parser.add_argument(
         "--scenario",
         metavar="NAME_OR_PATH",
         default=None,
@@ -153,14 +144,8 @@ def main(argv: list[str] | None = None) -> int:
             attempts=args.retries + 1,
             attempt_timeout_s=args.attempt_timeout,
         )
-    if args.corpus is not None and args.scenario is not None:
-        raise SystemExit("--corpus and --scenario are mutually exclusive")
     mix = None
-    if args.corpus is not None:
-        from repro.service.loadgen import request_mix_from_corpus
-
-        mix = request_mix_from_corpus(args.corpus, rounds=args.rounds)
-    elif args.scenario is not None:
+    if args.scenario is not None:
         from repro.service.loadgen import request_mix_from_scenario
 
         mix = request_mix_from_scenario(args.scenario, rounds=args.rounds)

@@ -6,9 +6,9 @@ every contract the capture subsystem advertises (``docs/corpus.md``):
 1. recording returns cells byte-identical to a plain live run;
 2. strict replay reproduces every decision byte-for-byte without
    executing a single render stage (``render_call_counts`` stays zero);
-3. the engine's corpus tier replays recorded cells (counters show
-   ``cells_replayed``, not ``cells_executed``) with results identical
-   to execution;
+3. ``repro capture --jobs 2`` records the same entries (fingerprints
+   and per-trial manifest data) as the library recorder, so pool
+   workers record exactly what one process does;
 4. the ``repro replay`` CLI verifies the corpus and exits 0.
 
 Exits non-zero on the first violated contract.  Fast (< 10 s): the mini
@@ -32,7 +32,7 @@ from repro.corpus import (
     record_cell_spec,
     CaptureCorpus,
 )
-from repro.eval.engine import TrialEngine, TrialPlan, run_cell_spec
+from repro.eval.engine import run_cell_spec
 from repro.sim.pipeline import render_call_counts, reset_render_call_counts
 
 
@@ -78,16 +78,22 @@ def main() -> int:
             "replay executed zero render stages",
         )
 
-        engine = TrialEngine(corpus=str(root))
-        results = engine.run_plan(TrialPlan(name="smoke", specs=list(specs)))
-        check(
-            engine.counters.cells_replayed == len(specs)
-            and engine.counters.cells_executed == 0,
-            "engine corpus tier replays instead of executing",
+        pooled_root = Path(tmp) / "pooled"
+        status = cli_main(
+            "capture --profile mini --distances 0.5 3.0 --trials 3 "
+            "--seed 7 --jobs 2".split()
+            + ["--corpus", str(pooled_root)]
         )
+        pooled = CaptureCorpus(pooled_root, create=False)
         check(
-            [canon(c) for c in results] == [canon(c) for c in live],
-            "engine corpus tier results byte-identical to live execution",
+            status == 0
+            and pooled.fingerprints() == corpus.fingerprints()
+            and all(
+                pooled.read_manifest(fp)["trials"]
+                == corpus.read_manifest(fp)["trials"]
+                for fp in corpus.fingerprints()
+            ),
+            "`repro capture --jobs 2` records what the library recorder does",
         )
 
         status = cli_main(["replay", "--corpus", str(root)])
