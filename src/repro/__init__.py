@@ -25,41 +25,17 @@ Quickstart::
     result = world.authenticate("assistant", "watch",
                                 AuthConfig(threshold_m=1.0))
     print(result)
+
+The names below are exported lazily (PEP 562): ``import repro`` loads
+none of the simulator, and each name is imported from its module on
+first access.  Processes that never touch the simulator — the shard
+router, the service client, ``build_parser()`` — therefore load no
+numpy or scipy.
 """
 
-from repro.core.action import ActionRanging, SignalPair
-from repro.core.config import AuthConfig, ProtocolConfig, paper_config
-from repro.core.decisions import AuthDecision, AuthResult, DenyReason
-from repro.core.detection import DetectionResult, FrequencyDetector
-from repro.core.exceptions import (
-    ChannelSecurityError,
-    ConfigurationError,
-    PairingError,
-    PianoError,
-    ProtocolError,
-    SignalNotPresentError,
-)
-from repro.core.frequencies import FrequencyPlan, build_frequency_plan
-from repro.core.piano import PianoAuthenticator, PreAuthenticator
-from repro.core.ranging import (
-    DeviceObservation,
-    RangingOutcome,
-    RangingStatus,
-    estimate_distance,
-)
-from repro.core.signal_construction import (
-    ReferenceSignal,
-    construct_reference_signal,
-    signal_from_indices,
-)
-from repro.acoustics.environment import (
-    ENVIRONMENTS,
-    Environment,
-    get_environment,
-)
-from repro.devices.device import Device
-from repro.sim.geometry import Point, Room, Wall
-from repro.sim.world import AcousticWorld
+from __future__ import annotations
+
+import importlib
 
 __version__ = "1.0.0"
 
@@ -101,3 +77,72 @@ __all__ = [
     "signal_from_indices",
     "__version__",
 ]
+
+#: Where each exported name is defined; ``__getattr__`` imports it on
+#: first access.
+_EXPORTS = {
+    "ActionRanging": "repro.core.action",
+    "SignalPair": "repro.core.action",
+    "AuthConfig": "repro.core.config",
+    "ProtocolConfig": "repro.core.config",
+    "paper_config": "repro.core.config",
+    "AuthDecision": "repro.core.decisions",
+    "AuthResult": "repro.core.decisions",
+    "DenyReason": "repro.core.decisions",
+    "DetectionResult": "repro.core.detection",
+    "FrequencyDetector": "repro.core.detection",
+    "ChannelSecurityError": "repro.core.exceptions",
+    "ConfigurationError": "repro.core.exceptions",
+    "PairingError": "repro.core.exceptions",
+    "PianoError": "repro.core.exceptions",
+    "ProtocolError": "repro.core.exceptions",
+    "SignalNotPresentError": "repro.core.exceptions",
+    "FrequencyPlan": "repro.core.frequencies",
+    "build_frequency_plan": "repro.core.frequencies",
+    "PianoAuthenticator": "repro.core.piano",
+    "PreAuthenticator": "repro.core.piano",
+    "DeviceObservation": "repro.core.ranging",
+    "RangingOutcome": "repro.core.ranging",
+    "RangingStatus": "repro.core.ranging",
+    "estimate_distance": "repro.core.ranging",
+    "ReferenceSignal": "repro.core.signal_construction",
+    "construct_reference_signal": "repro.core.signal_construction",
+    "signal_from_indices": "repro.core.signal_construction",
+    "ENVIRONMENTS": "repro.acoustics.environment",
+    "Environment": "repro.acoustics.environment",
+    "get_environment": "repro.acoustics.environment",
+    "Device": "repro.devices.device",
+    "Point": "repro.sim.geometry",
+    "Room": "repro.sim.geometry",
+    "Wall": "repro.sim.geometry",
+    "AcousticWorld": "repro.sim.world",
+}
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package namespace.
+
+    Each name in ``exports`` (name → defining module) is imported on
+    first access and cached in ``namespace``, so importing the package
+    itself imports none of those modules.  ``repro.service`` and
+    ``repro.dsp.backend`` export the same way.
+    """
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

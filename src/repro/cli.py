@@ -33,22 +33,17 @@ import os
 import sys
 import time
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.dsp.backend import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    select_backend,
-    set_backend,
-)
-from repro.eval.engine import (
-    MeasurementCache,
-    TrialEngine,
-    get_engine,
-    use_engine,
-)
+# Only stdlib-only modules load here: building the parser (and ``repro
+# serve``'s router) must not pay for numpy, scipy or the simulator.  Each
+# command imports the machinery it runs.
+from repro.dsp.backend import BACKEND_ENV_VAR, available_backends
 from repro.eval.registry import EXPERIMENTS, list_experiments, run_experiment
 from repro.eval.reporting import format_throughput
+
+if TYPE_CHECKING:
+    from repro.eval.engine import TrialEngine
 
 __all__ = ["main", "build_parser"]
 
@@ -438,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_engine(args: argparse.Namespace) -> TrialEngine:
     """One engine per invocation: shared pool, shared measurement cache."""
+    from repro.eval.engine import MeasurementCache, TrialEngine
+
     progress = None
     if args.progress:
         progress = lambda line: print(f"  {line}", file=sys.stderr)  # noqa: E731
@@ -471,6 +468,7 @@ def _cmd_run(name: str, trials: int | None, seed: int, quick: bool) -> int:
 
 
 def _cmd_roc(args: argparse.Namespace) -> int:
+    from repro.eval.engine import get_engine
     from repro.eval.sweep import (
         DEFAULT_ROC_THRESHOLDS,
         build_roc_report,
@@ -608,6 +606,7 @@ def _resolve_scenario(text: str):
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.eval.engine import use_engine
     from repro.scenarios import (
         BUILTIN_SCENARIOS,
         ScenarioError,
@@ -692,8 +691,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.service import AuthService, ShardedAuthServer
-
     def _banner(server: "asyncio.AbstractServer", suffix: str) -> None:
         for sock in server.sockets or ():
             host, port = sock.getsockname()[:2]
@@ -717,6 +714,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             dsp_timeout_s=args.dsp_timeout_s,
         )
         if args.workers > 1:
+            # The router only frames and forwards: it never imports the
+            # server stack, which each spawned worker loads for itself.
+            from repro.service.shard import ShardedAuthServer
+
             front = ShardedAuthServer(
                 args.workers,
                 service_options=options,
@@ -734,6 +735,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
                     await front.drain()
         else:
+            from repro.service.server import AuthService
+
             service = AuthService(**options)
             async with service:
                 server = await service.serve(args.host, args.port)
@@ -763,6 +766,8 @@ def _apply_dsp_backend(args: argparse.Namespace) -> None:
     name = getattr(args, "dsp_backend", None)
     if name is None:
         return
+    from repro.dsp.backend import select_backend, set_backend
+
     try:
         backend = select_backend(name)
     except ValueError as error:
@@ -785,6 +790,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_replay(args)
         if args.command == "scenario":
             return _cmd_scenario(args)
+        from repro.eval.engine import use_engine
+
         if args.command == "run":
             with use_engine(_build_engine(args)) as engine:
                 try:

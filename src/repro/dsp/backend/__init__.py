@@ -26,24 +26,15 @@ Invariants every caller may rely on (and every new backend must honor):
    batching and the streaming service's shared DSP executor safe.
 
 Selection precedence: explicit > ``REPRO_DSP_BACKEND`` > numpy.
+
+The package exports lazily (PEP 562), so importing it loads no numpy:
+``from repro.dsp.backend import available_backends`` costs only the
+registry in :mod:`repro.dsp.backend.select`.
 """
 
-from repro.dsp.backend.base import (
-    CHUNK_ENV_VAR,
-    DEFAULT_FFT_CHUNK_WINDOWS,
-    DSPBackend,
-)
-from repro.dsp.backend.numpy_backend import NumpyBackend
-from repro.dsp.backend.scipy_backend import ScipyBackend
-from repro.dsp.backend.select import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    create_backend,
-    get_backend,
-    select_backend,
-    set_backend,
-    use_backend,
-)
+from __future__ import annotations
+
+from repro import _lazy_exports
 
 __all__ = [
     "DSPBackend",
@@ -59,3 +50,22 @@ __all__ = [
     "set_backend",
     "use_backend",
 ]
+
+#: Where each exported name is defined; ``__getattr__`` imports it on
+#: first access.
+_EXPORTS = {
+    "DSPBackend": "repro.dsp.backend.base",
+    "CHUNK_ENV_VAR": "repro.dsp.backend.base",
+    "DEFAULT_FFT_CHUNK_WINDOWS": "repro.dsp.backend.base",
+    "NumpyBackend": "repro.dsp.backend.numpy_backend",
+    "ScipyBackend": "repro.dsp.backend.scipy_backend",
+    "BACKEND_ENV_VAR": "repro.dsp.backend.select",
+    "available_backends": "repro.dsp.backend.select",
+    "create_backend": "repro.dsp.backend.select",
+    "get_backend": "repro.dsp.backend.select",
+    "select_backend": "repro.dsp.backend.select",
+    "set_backend": "repro.dsp.backend.select",
+    "use_backend": "repro.dsp.backend.select",
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -13,17 +13,22 @@ Rule 3 is what keeps ``run-all`` tables byte-identical on any host: a
 backend with different rounding (scipy's overlap-add ``convolve_batch``)
 is never installed silently; it has to be asked for by name, and then
 its documented float tolerance applies.
+
+The registry names each backend's module rather than its class, so this
+module imports no numpy: ``available_backends()`` serves the CLI's
+``build_parser()`` for free, and a backend's module (scipy's pulls in
+``scipy.signal``) is imported only when that backend is created.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.dsp.backend.base import DSPBackend
-from repro.dsp.backend.numpy_backend import NumpyBackend
-from repro.dsp.backend.scipy_backend import ScipyBackend
+if TYPE_CHECKING:
+    from repro.dsp.backend.base import DSPBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -38,9 +43,11 @@ __all__ = [
 #: Environment override for the default backend (a registry name).
 BACKEND_ENV_VAR = "REPRO_DSP_BACKEND"
 
-_REGISTRY: dict[str, type[DSPBackend]] = {
-    NumpyBackend.name: NumpyBackend,
-    ScipyBackend.name: ScipyBackend,
+#: Registry name → (defining module, class name).  Each class's ``name``
+#: attribute equals its key here.
+_REGISTRY: dict[str, tuple[str, str]] = {
+    "numpy": ("repro.dsp.backend.numpy_backend", "NumpyBackend"),
+    "scipy": ("repro.dsp.backend.scipy_backend", "ScipyBackend"),
 }
 
 
@@ -52,12 +59,13 @@ def available_backends() -> tuple[str, ...]:
 def create_backend(name: str) -> DSPBackend:
     """Instantiate a backend by registry name (raises on unknown)."""
     try:
-        return _REGISTRY[name]()
+        module, cls = _REGISTRY[name]
     except KeyError:
         known = ", ".join(available_backends())
         raise ValueError(
             f"unknown DSP backend {name!r}; available: {known}"
         ) from None
+    return getattr(importlib.import_module(module), cls)()
 
 
 def select_backend(name: str | None = None) -> DSPBackend:
@@ -66,8 +74,7 @@ def select_backend(name: str | None = None) -> DSPBackend:
     ``name=None`` consults :data:`BACKEND_ENV_VAR` and falls back to the
     numpy reference backend.
     """
-    name = name or os.environ.get(BACKEND_ENV_VAR)
-    return create_backend(name) if name else NumpyBackend()
+    return create_backend(name or os.environ.get(BACKEND_ENV_VAR) or "numpy")
 
 
 # ----------------------------------------------------------------------

@@ -1,47 +1,34 @@
 """Registry of all reproducible experiments (CLI and benches dispatch here).
 
 Every entry maps an experiment id to the paper artifact it regenerates and
-a runner ``run(trials=..., seed=..., quick=...) -> ExperimentReport``.
+the module whose ``run(trials=..., seed=..., quick=...) -> ExperimentReport``
+regenerates it.  Entries name modules rather than functions, so importing
+the registry loads no simulator code: the CLI's parser and ``repro list``
+read it for free, and :func:`run_experiment` imports a runner's module on
+first use.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING
 
-from repro.eval.engine import get_engine
-from repro.eval.experiments import (
-    ablations,
-    efficiency,
-    fig1_environments,
-    fig2a_multiuser,
-    fig2b_comparison,
-    range_limit,
-    security,
-    table1_frr,
-    table2_far,
-    wall_study,
-)
-from repro.eval.reporting import ExperimentReport
+if TYPE_CHECKING:
+    from repro.eval.reporting import ExperimentReport
 
 __all__ = ["EXPERIMENTS", "ExperimentEntry", "run_experiment", "list_experiments"]
 
 
-class _Runner(Protocol):
-    def __call__(
-        self, trials: int = ..., seed: int = ..., quick: bool = ...
-    ) -> ExperimentReport: ...
-
-
 @dataclass(frozen=True)
 class ExperimentEntry:
-    """One registered experiment."""
+    """One registered experiment; ``module`` defines its ``run``."""
 
     name: str
     paper_artifact: str
     description: str
-    runner: Callable[..., ExperimentReport]
+    module: str
     default_trials: int
 
 
@@ -52,70 +39,70 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
             "fig1",
             "Figure 1(a-d)",
             "distance-estimation errors in office/home/street/restaurant",
-            fig1_environments.run,
+            "repro.eval.experiments.fig1_environments",
             10,
         ),
         ExperimentEntry(
             "fig2a",
             "Figure 2(a)",
             "three concurrent PIANO users in a shared office",
-            fig2a_multiuser.run,
+            "repro.eval.experiments.fig2a_multiuser",
             10,
         ),
         ExperimentEntry(
             "fig2b",
             "Figure 2(b)",
             "ACTION vs ACTION-CC vs Echo-Secure accuracy",
-            fig2b_comparison.run,
+            "repro.eval.experiments.fig2b_comparison",
             10,
         ),
         ExperimentEntry(
             "table1",
             "Table I",
             "false rejection rates per scenario and threshold",
-            table1_frr.run,
+            "repro.eval.experiments.table1_frr",
             10,
         ),
         ExperimentEntry(
             "table2",
             "Table II",
             "false acceptance rates per scenario and threshold",
-            table2_far.run,
+            "repro.eval.experiments.table2_far",
             10,
         ),
         ExperimentEntry(
             "wall",
             "§VI-B (wall)",
             "wall-separated devices are denied",
-            wall_study.run,
+            "repro.eval.experiments.wall_study",
             10,
         ),
         ExperimentEntry(
             "range_limit",
             "§VI-B (d_s)",
             "maximum acoustic detection range sweep",
-            range_limit.run,
+            "repro.eval.experiments.range_limit",
             10,
         ),
         ExperimentEntry(
             "efficiency",
             "§VI-D",
             "latency and energy per authentication",
-            efficiency.run,
+            "repro.eval.experiments.efficiency",
             20,
         ),
         ExperimentEntry(
             "security",
             "§V + §VI-E",
             "spoofing-attack trials and analytic guessing bounds",
-            security.run,
+            "repro.eval.experiments.security",
             100,
         ),
         ExperimentEntry(
             "ablations",
             "extension",
             "sensitivity sweeps over θ, scan step, noise, signal length",
-            ablations.run,
+            "repro.eval.experiments.ablations",
             8,
         ),
     )
@@ -137,10 +124,13 @@ def run_experiment(
     except KeyError:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {name!r}; known: {known}") from None
+    from repro.eval.engine import get_engine
+
+    run = importlib.import_module(entry.module).run
     engine = get_engine()
     before = engine.counters.snapshot()
     start = perf_counter()
-    report = entry.runner(
+    report = run(
         trials=trials if trials is not None else entry.default_trials,
         seed=seed,
         quick=quick,

@@ -5,16 +5,18 @@ asyncio service (the flow PIANO's paper targets: an auth request arrives,
 the ranging protocol runs, accept/reject streams back within a speech
 interaction).  Eight modules:
 
-* **protocol** — the wire messages (flat frozen dataclasses) and their
-  newline-delimited JSON codec, plus the request → trial mapping and the
-  PIANO aggregate decision rule;
+* **protocol** — the stdlib-only wire layer: the messages (flat frozen
+  dataclasses), the error-code vocabulary, and their newline-delimited
+  JSON codec;
 * **scheduler** — :class:`BatchingScheduler`, which coalesces the
   deterministic DSP of concurrent in-flight rounds into stacked
   ``render_arrivals`` + ``detect_batch`` passes on its one DSP thread;
-* **server** — :class:`AuthService`: request validation, the per-round
-  stage drive (RNG stages on the request path, DSP via the scheduler),
-  decision streaming, graceful draining, and the JSON-lines TCP/unix
-  listeners behind ``python -m repro serve``;
+* **server** — :class:`AuthService`: request validation, the request →
+  trial mapping (``request_spec``), the per-round stage drive (RNG
+  stages on the request path, DSP via the scheduler), decision
+  streaming with the PIANO aggregate rule (``aggregate_decision``),
+  graceful draining, and the JSON-lines TCP/unix listeners behind
+  ``python -m repro serve``;
 * **calibration** — :class:`CalibrationStore`, per-deployment threshold
   auto-calibration: bounded windows of served ranging errors per
   environment, σ_d estimation, and τ selection for a target FRR through
@@ -33,8 +35,14 @@ interaction).  Eight modules:
   ``tools/chaos_smoke.py`` exercise every recovery path above;
 * **loadgen** — open- and closed-loop load generation with latency
   percentiles, per-class reply counts, and first-attempt vs
-  retry-inflated latency (``tools/loadgen.py`` and the scaling
-  benchmark).
+  retry-inflated latency (``tools/loadgen.py``).
+
+The package exports lazily (PEP 562): each name below is imported from
+its module on first access, so a process pays only for the modules it
+touches.  The shard router and the client stack (``shard``, ``client``,
+``protocol``, ``faults``) import no numpy or scipy; only a process that
+touches ``server``, ``scheduler`` or ``calibration`` loads the
+simulator.
 
 Contracts (details in ``docs/service.md``):
 
@@ -56,58 +64,9 @@ Contracts (details in ``docs/service.md``):
   is bit-identical to it.
 """
 
-from repro.service.calibration import (
-    CalibrationStore,
-    CalibrationSummary,
-    robust_sigma,
-)
-from repro.service.client import (
-    AuthClient,
-    RetryPolicy,
-    ServedAuthentication,
-    ServiceError,
-)
-from repro.service.faults import (
-    BusyOnce,
-    DelayBatch,
-    FaultInjector,
-    FaultPlan,
-    FrameFault,
-    KillWorker,
-)
-from repro.service.loadgen import LoadgenReport, run_loadgen
-from repro.service.protocol import (
-    ERROR_CODES,
-    MESSAGE_TYPES,
-    RETRIABLE_ERROR_CODES,
-    CalibrateReply,
-    CalibrateRequest,
-    ErrorReply,
-    Message,
-    ProtocolError,
-    RangingRequest,
-    RequestComplete,
-    RoundDecision,
-    StatsReply,
-    StatsRequest,
-    aggregate_decision,
-    decode_message,
-    encode_message,
-    request_spec,
-    round_decision,
-)
-from repro.service.scheduler import (
-    BatchingScheduler,
-    DeadlineExceeded,
-    SchedulerStats,
-    ServiceOverloaded,
-)
-from repro.service.server import AuthService
-from repro.service.shard import (
-    ShardedAuthServer,
-    session_key,
-    shard_for_session,
-)
+from __future__ import annotations
+
+from repro import _lazy_exports
 
 __all__ = [
     "ERROR_CODES",
@@ -152,3 +111,52 @@ __all__ = [
     "session_key",
     "shard_for_session",
 ]
+
+#: Where each exported name is defined; ``__getattr__`` imports it on
+#: first access.
+_EXPORTS = {
+    "CalibrationStore": "repro.service.calibration",
+    "CalibrationSummary": "repro.service.calibration",
+    "robust_sigma": "repro.service.calibration",
+    "AuthClient": "repro.service.client",
+    "RetryPolicy": "repro.service.client",
+    "ServedAuthentication": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "BusyOnce": "repro.service.faults",
+    "DelayBatch": "repro.service.faults",
+    "FaultInjector": "repro.service.faults",
+    "FaultPlan": "repro.service.faults",
+    "FrameFault": "repro.service.faults",
+    "KillWorker": "repro.service.faults",
+    "LoadgenReport": "repro.service.loadgen",
+    "run_loadgen": "repro.service.loadgen",
+    "ERROR_CODES": "repro.service.protocol",
+    "MESSAGE_TYPES": "repro.service.protocol",
+    "RETRIABLE_ERROR_CODES": "repro.service.protocol",
+    "CalibrateReply": "repro.service.protocol",
+    "CalibrateRequest": "repro.service.protocol",
+    "ErrorReply": "repro.service.protocol",
+    "Message": "repro.service.protocol",
+    "ProtocolError": "repro.service.protocol",
+    "RangingRequest": "repro.service.protocol",
+    "RequestComplete": "repro.service.protocol",
+    "RoundDecision": "repro.service.protocol",
+    "StatsReply": "repro.service.protocol",
+    "StatsRequest": "repro.service.protocol",
+    "decode_message": "repro.service.protocol",
+    "encode_message": "repro.service.protocol",
+    "BatchingScheduler": "repro.service.scheduler",
+    "DeadlineExceeded": "repro.service.scheduler",
+    "SchedulerStats": "repro.service.scheduler",
+    "ServiceOverloaded": "repro.service.scheduler",
+    "AuthService": "repro.service.server",
+    "aggregate_decision": "repro.service.server",
+    "request_spec": "repro.service.server",
+    "round_decision": "repro.service.server",
+    "ShardedAuthServer": "repro.service.shard",
+    "session_key": "repro.service.shard",
+    "shard_for_session": "repro.service.shard",
+}
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

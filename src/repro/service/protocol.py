@@ -31,8 +31,14 @@ calibration (:mod:`repro.service.calibration`): the σ_d estimated from
 served ranging evidence and the tightest τ meeting a target FRR — also
 one reply per shard (``repro.service.AuthClient.calibrate`` collects).
 
+This module is the stdlib-only wire layer: it imports nothing from the
+simulator, so the shard router and the client stack that use it load
+neither numpy nor scipy.  The request → trial mapping
+(:func:`repro.service.server.request_spec`) and the aggregate PIANO rule
+(:func:`repro.service.server.aggregate_decision`) live with the server.
+
 Determinism contract: a request *is* a trial-engine cell description.
-:func:`request_spec` maps it to the exact
+``request_spec`` maps it to the exact
 :class:`~repro.eval.engine.TrialSpec` the CLI engine would run, and round
 ``i`` executes trial ``first_trial + i`` of that spec through the same
 stage functions — so every served ``RoundDecision`` is bit-identical to
@@ -47,9 +53,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import Union
-
-from repro.core.ranging import RangingOutcome, RangingStatus
-from repro.eval.engine import TrialSpec
 
 __all__ = [
     "ERROR_CODES",
@@ -67,9 +70,6 @@ __all__ = [
     "MESSAGE_TYPES",
     "encode_message",
     "decode_message",
-    "request_spec",
-    "round_decision",
-    "aggregate_decision",
 ]
 
 
@@ -359,85 +359,3 @@ def decode_message(line: str | bytes) -> Message:
         for name, value in payload.items()
     }
     return cls(**checked)
-
-
-# ----------------------------------------------------------------------
-# Request → trial mapping and decision rules
-# ----------------------------------------------------------------------
-
-
-def request_spec(request: RangingRequest) -> TrialSpec:
-    """The trial-engine cell a request addresses.
-
-    ``TrialSpec.trial_seed`` does not depend on ``n_trials``, so the
-    spec's trial count is presentation-only here; round ``i`` of the
-    request is trial ``first_trial + i`` of this cell under the exact
-    seed derivation the CLI engine uses.
-    """
-    return TrialSpec(
-        environment=request.environment,
-        distance_m=request.distance_m,
-        n_trials=request.first_trial + request.rounds,
-        seed=request.seed,
-    )
-
-
-def round_decision(
-    request: RangingRequest,
-    round_index: int,
-    trial: int,
-    outcome: RangingOutcome,
-) -> RoundDecision:
-    """Project one round's :class:`RangingOutcome` onto the wire."""
-    return RoundDecision(
-        request_id=request.request_id,
-        round_index=round_index,
-        trial=trial,
-        status=outcome.status.value,
-        distance_m=outcome.distance_m,
-        accepted=bool(
-            outcome.ok and outcome.require_distance() <= request.threshold_m
-        ),
-        elapsed_s=outcome.elapsed_s,
-        energy_j=outcome.energy_j,
-    )
-
-
-def aggregate_decision(
-    request: RangingRequest, decisions: list[RoundDecision]
-) -> RequestComplete:
-    """Fold streamed rounds into the PIANO grant/deny rule.
-
-    Mirrors :class:`~repro.core.piano.PianoAuthenticator`: rounds retry
-    only on ⊥ (``signal_not_present``), so the first round with any other
-    status decides — grant iff it completed within τ.  If every round
-    returned ⊥ (or no rounds ran), the request is denied with
-    ``signal_not_present``.
-    """
-    for decision in decisions:
-        if decision.status == RangingStatus.SIGNAL_NOT_PRESENT.value:
-            continue
-        if decision.status == RangingStatus.BLUETOOTH_UNAVAILABLE.value:
-            reason = "out_of_bluetooth_range"
-        elif decision.status == RangingStatus.CHANNEL_TAMPERED.value:
-            reason = "channel_tampered"
-        elif decision.accepted:
-            reason = "none"
-        else:
-            reason = "distance_exceeds_threshold"
-        return RequestComplete(
-            request_id=request.request_id,
-            granted=decision.accepted,
-            reason=reason,
-            decided_round=decision.round_index,
-            rounds=len(decisions),
-            distance_m=decision.distance_m,
-        )
-    return RequestComplete(
-        request_id=request.request_id,
-        granted=False,
-        reason="signal_not_present",
-        decided_round=None,
-        rounds=len(decisions),
-        distance_m=None,
-    )

@@ -24,6 +24,11 @@ Bit-identity: steps 2–4 execute the identical stage functions, in the
 identical per-session RNG order, as a CLI trial — batching across
 requests cannot change bits (pipeline invariant 2) — so a served
 decision equals the same trial run by ``python -m repro`` exactly.
+The mapping behind it — :func:`request_spec` (request → ``TrialSpec``),
+:func:`round_decision` (outcome → wire) and :func:`aggregate_decision`
+(the PIANO grant/deny rule) — lives here, with the simulator imports it
+needs, so the wire layer :mod:`repro.service.protocol` stays
+stdlib-only for the router and the client.
 
 Lifecycle: :meth:`AuthService.begin_draining` flips the service into
 drain mode — requests already streaming finish normally while new ones
@@ -44,7 +49,7 @@ import asyncio
 from typing import AsyncIterator
 
 from repro.acoustics.environment import get_environment
-from repro.core.ranging import RangingOutcome
+from repro.core.ranging import RangingOutcome, RangingStatus
 from repro.eval.engine import TrialSpec, build_trial_session
 from repro.sim.pipeline import (
     exchange_and_decide,
@@ -60,13 +65,12 @@ from repro.service.protocol import (
     Message,
     ProtocolError,
     RangingRequest,
+    RequestComplete,
+    RoundDecision,
     StatsReply,
     StatsRequest,
-    aggregate_decision,
     decode_message,
     encode_message,
-    request_spec,
-    round_decision,
 )
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.scheduler import (
@@ -75,13 +79,101 @@ from repro.service.scheduler import (
     ServiceOverloaded,
 )
 
-__all__ = ["AuthService", "MAX_ROUNDS_PER_REQUEST"]
+__all__ = [
+    "AuthService",
+    "MAX_ROUNDS_PER_REQUEST",
+    "request_spec",
+    "round_decision",
+    "aggregate_decision",
+]
 
 #: Upper bound on ``RangingRequest.rounds``: each round becomes an eager
 #: task, so the field must not let one request allocate unbounded work.
 #: Callers wanting more rounds slice the cell across requests with
 #: ``first_trial`` (as the benchmark does).
 MAX_ROUNDS_PER_REQUEST = 1024
+
+
+# ----------------------------------------------------------------------
+# Request → trial mapping and decision rules
+# ----------------------------------------------------------------------
+
+
+def request_spec(request: RangingRequest) -> TrialSpec:
+    """The trial-engine cell a request addresses.
+
+    ``TrialSpec.trial_seed`` does not depend on ``n_trials``, so the
+    spec's trial count is presentation-only here; round ``i`` of the
+    request is trial ``first_trial + i`` of this cell under the exact
+    seed derivation the CLI engine uses.
+    """
+    return TrialSpec(
+        environment=request.environment,
+        distance_m=request.distance_m,
+        n_trials=request.first_trial + request.rounds,
+        seed=request.seed,
+    )
+
+
+def round_decision(
+    request: RangingRequest,
+    round_index: int,
+    trial: int,
+    outcome: RangingOutcome,
+) -> RoundDecision:
+    """Project one round's :class:`RangingOutcome` onto the wire."""
+    return RoundDecision(
+        request_id=request.request_id,
+        round_index=round_index,
+        trial=trial,
+        status=outcome.status.value,
+        distance_m=outcome.distance_m,
+        accepted=bool(
+            outcome.ok and outcome.require_distance() <= request.threshold_m
+        ),
+        elapsed_s=outcome.elapsed_s,
+        energy_j=outcome.energy_j,
+    )
+
+
+def aggregate_decision(
+    request: RangingRequest, decisions: list[RoundDecision]
+) -> RequestComplete:
+    """Fold streamed rounds into the PIANO grant/deny rule.
+
+    Mirrors :class:`~repro.core.piano.PianoAuthenticator`: rounds retry
+    only on ⊥ (``signal_not_present``), so the first round with any other
+    status decides — grant iff it completed within τ.  If every round
+    returned ⊥ (or no rounds ran), the request is denied with
+    ``signal_not_present``.
+    """
+    for decision in decisions:
+        if decision.status == RangingStatus.SIGNAL_NOT_PRESENT.value:
+            continue
+        if decision.status == RangingStatus.BLUETOOTH_UNAVAILABLE.value:
+            reason = "out_of_bluetooth_range"
+        elif decision.status == RangingStatus.CHANNEL_TAMPERED.value:
+            reason = "channel_tampered"
+        elif decision.accepted:
+            reason = "none"
+        else:
+            reason = "distance_exceeds_threshold"
+        return RequestComplete(
+            request_id=request.request_id,
+            granted=decision.accepted,
+            reason=reason,
+            decided_round=decision.round_index,
+            rounds=len(decisions),
+            distance_m=decision.distance_m,
+        )
+    return RequestComplete(
+        request_id=request.request_id,
+        granted=False,
+        reason="signal_not_present",
+        decided_round=None,
+        rounds=len(decisions),
+        distance_m=None,
+    )
 
 
 def _validate(request: RangingRequest) -> str | None:

@@ -84,7 +84,6 @@ from repro.service.protocol import (
     decode_message,
     encode_message,
 )
-from repro.service.server import AuthService
 
 __all__ = ["ShardedAuthServer", "session_key", "shard_for_session"]
 
@@ -142,6 +141,11 @@ async def _run_worker(
     shard_count: int,
     service_options: dict,
 ) -> None:
+    # Imported here, not at module level: the router imports this module
+    # too, and only workers run the server stack (numpy, scipy, the
+    # simulator).
+    from repro.service.server import AuthService
+
     service = AuthService(
         shard_index=shard_index,
         shard_count=shard_count,
@@ -273,6 +277,12 @@ class ShardedAuthServer:
         self._owns_socket_dir = socket_dir is None
         self._slots: list[_WorkerSlot] = []
         self._supervisors: list[asyncio.Task] = []
+        #: Running client-connection handlers.  The loop holds tasks only
+        #: weakly, and once a client disconnects its transport stops
+        #: reading, so nothing else keeps a handler (or the pumps its
+        #: frame holds) alive while it waits for in-flight replies; a GC
+        #: pass would destroy it mid-teardown and leak its sockets.
+        self._handlers: set[asyncio.Task] = set()
         self._draining = False
         self._stopped = False
 
@@ -310,18 +320,40 @@ class ShardedAuthServer:
         return process
 
     async def start(self) -> None:
-        """Spawn the workers, wait until all accept, start supervision."""
+        """Spawn the workers, wait until all accept, start supervision.
+
+        If any worker fails to come up, every worker already spawned is
+        killed and joined and the socket directory is removed before the
+        error propagates: the workers are not daemons, so a survivor
+        would block the interpreter's exit.
+        """
         if self._slots:
             return
         if self._socket_dir is None:
             self._socket_dir = tempfile.mkdtemp(prefix="repro-shards-")
         self._slots = [_WorkerSlot(shard) for shard in range(self.workers)]
-        for slot in self._slots:
-            slot.process = self._spawn(slot.shard)
-        await asyncio.gather(
-            *(self._wait_ready(slot) for slot in self._slots)
-        )
         loop = asyncio.get_running_loop()
+        waits: list[asyncio.Task] = []
+        try:
+            for slot in self._slots:
+                slot.process = self._spawn(slot.shard)
+            waits = [
+                loop.create_task(self._wait_ready(slot))
+                for slot in self._slots
+            ]
+            await asyncio.gather(*waits)
+        except BaseException:
+            for task in waits:
+                task.cancel()
+            await asyncio.gather(*waits, return_exceptions=True)
+            processes = [slot.process for slot in self._slots if slot.process]
+            for process in processes:
+                process.kill()
+            for process in processes:
+                await loop.run_in_executor(None, process.join)
+            self._remove_sockets()
+            self._slots = []
+            raise
         self._supervisors = [
             loop.create_task(self._supervise(slot)) for slot in self._slots
         ]
@@ -345,7 +377,7 @@ class ShardedAuthServer:
                 if loop.time() >= deadline:
                     raise RuntimeError(
                         f"shard worker {slot.shard} did not become ready "
-                        f"within {self.ready_timeout:.0f}s"
+                        f"within {self.ready_timeout:g}s"
                     ) from None
                 await asyncio.sleep(0.05)
                 continue
@@ -448,22 +480,38 @@ class ShardedAuthServer:
                 await loop.run_in_executor(None, process.join)
 
     async def stop(self) -> None:
-        """Drain the workers and remove the socket directory."""
+        """Drain the workers, end the connection handlers, remove sockets.
+
+        Handlers still running once the workers have exited belong to
+        clients that stay connected; they are cancelled and awaited so
+        their upstream and client sockets close.
+        """
         if self._stopped:
             return
         self._stopped = True
         await self.drain()
-        if self._socket_dir is not None:
-            for shard in range(self.workers):
-                try:
-                    os.unlink(self.socket_path(shard))
-                except OSError:
-                    pass
-            if self._owns_socket_dir:
-                try:
-                    os.rmdir(self._socket_dir)
-                except OSError:
-                    pass
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()
+        if handlers:
+            await asyncio.gather(*handlers, return_exceptions=True)
+        self._remove_sockets()
+
+    def _remove_sockets(self) -> None:
+        """Unlink the workers' sockets and the directory this tier owns."""
+        if self._socket_dir is None:
+            return
+        for shard in range(self.workers):
+            try:
+                os.unlink(self.socket_path(shard))
+            except OSError:
+                pass
+        if self._owns_socket_dir:
+            try:
+                os.rmdir(self._socket_dir)
+            except OSError:
+                pass
+            self._socket_dir = None
 
     async def __aenter__(self) -> "ShardedAuthServer":
         await self.start()
@@ -487,6 +535,9 @@ class ShardedAuthServer:
         to (``outstanding``), so a worker crash turns into attributed,
         retriable ``unavailable`` errors instead of silence.
         """
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         write_lock = asyncio.Lock()
         upstreams: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
         pumps: list[asyncio.Task] = []
@@ -595,16 +646,20 @@ class ShardedAuthServer:
                     upstream_writer.write_eof()
                 except (OSError, RuntimeError):
                     pass
-            if pumps:
-                await asyncio.gather(*pumps, return_exceptions=True)
-            for _, upstream_writer in upstreams.values():
-                upstream_writer.close()
+            try:
+                if pumps:
+                    await asyncio.gather(*pumps, return_exceptions=True)
+            finally:
+                # Close every socket even when ``stop()`` cancels this
+                # handler while its pumps are still forwarding.
+                for _, upstream_writer in upstreams.values():
+                    upstream_writer.close()
+                writer.close()
             for _, upstream_writer in upstreams.values():
                 try:
                     await upstream_writer.wait_closed()
                 except (ConnectionResetError, BrokenPipeError):
                     pass
-            writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):

@@ -8,6 +8,7 @@ suite, not just CI.
 """
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -70,4 +71,34 @@ def test_checker_checks_flags_against_their_own_subcommand(
         "README.md: unknown CLI flag '--profile' on 'repro run'",
         "README.md: unknown CLI flag '--quick' on 'repro capture'",
         "README.md: unknown CLI flag '--thresholds' on 'repro scenario run'",
+    ]
+
+
+def test_checker_checks_tool_flags_against_the_tools_parser(
+    tmp_path, monkeypatch
+):
+    """``python tools/<name>.py`` lines are checked against that tool's
+    ``build_parser()``; flags a tool cannot be checked for are reported."""
+    checker = _load_checker()
+    root = tmp_path
+    (root / "docs").mkdir()
+    (root / "tools").mkdir()
+    shutil.copy(TOOLS_DIR / "loadgen.py", root / "tools" / "loadgen.py")
+    (root / "tools" / "smoke.py").write_text("def main():\n    return 0\n")
+    (root / "README.md").write_text(
+        "```sh\n"
+        "python tools/loadgen.py --corpus captures/\n"
+        "PYTHONPATH=src python tools/loadgen.py --mode closed \\\n"
+        "    --concurrency 8\n"
+        "python tools/smoke.py\n"
+        "python tools/smoke.py --rounds 2\n"
+        "python tools/gone.py --port 1\n"
+        "```\n"
+    )
+    monkeypatch.setattr(checker, "REPO_ROOT", root)
+    assert sorted(checker.run_checks()) == [
+        "README.md: cannot check flags of 'tools/gone.py' (no such tool)",
+        "README.md: cannot check flags of 'tools/smoke.py' "
+        "(it has no build_parser() to check its flags against)",
+        "README.md: unknown flag '--corpus' on 'tools/loadgen.py'",
     ]

@@ -59,6 +59,9 @@ def _reference_window_powers(windows, bins, length):
 def test_numpy_and_scipy_always_available():
     names = available_backends()
     assert "numpy" in names and "scipy" in names
+    # The registry names each backend's module; the class it creates
+    # must answer to the same name.
+    assert [create_backend(name).name for name in names] == list(names)
 
 
 def test_create_backend_unknown_name_lists_choices():

@@ -1,5 +1,7 @@
 """Tests for the experiment registry, runners (quick mode), and the CLI."""
 
+import importlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -76,3 +78,5 @@ def test_entries_have_descriptions():
     for entry in list_experiments():
         assert entry.description
         assert entry.default_trials > 0
+        # Entries name their runner's module; it must define ``run``.
+        assert callable(importlib.import_module(entry.module).run)

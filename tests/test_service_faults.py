@@ -13,18 +13,26 @@ the two safety contracts:
   ``(session, trial)`` plus pinned routing), so the granted set under
   any fault schedule is a subset of the unfaulted run's.
 
-The one spawned-process test (worker SIGKILL → supervised respawn) also
-exercises the router's frame handling — malformed JSON, oversized
-lines — so the expensive worker startup is paid once.
-`tools/chaos_smoke.py` covers the same kill path under sustained load in
-CI.
+The worker SIGKILL → supervised respawn test also exercises the
+router's frame handling — malformed JSON, oversized lines — so that
+expensive worker startup is paid once.  `tools/chaos_smoke.py` covers
+the same kill path under sustained load in CI.  Two more spawned-process
+tests cover the router's own lifetime: connection handlers that outlive
+their client must survive a GC pass, and a failed start must take its
+workers down with it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +54,7 @@ from repro.service import (
     RoundDecision,
     ServiceError,
     ShardedAuthServer,
+    encode_message,
     session_key,
     shard_for_session,
 )
@@ -619,3 +628,76 @@ def test_worker_kill_respawn_and_retry_byte_identical():
     assert served.complete is not None and len(served.rounds) == 2
     for decision, outcome in zip(served.rounds, expected):
         assert_matches_outcome(decision, outcome)
+
+
+def test_router_handlers_survive_gc_after_the_client_hangs_up():
+    """A router handler still waiting on a worker's reply after its client
+    disconnected is reachable only from the router: a GC pass must not
+    destroy it (and its pumps) mid-teardown, leaking their sockets."""
+    cycles = 3
+    # Each request's batch is held back, so the reply is still owed when
+    # the client has gone and the collector runs.
+    plan = FaultPlan(
+        delay_batches=tuple(DelayBatch(index, 300.0) for index in range(cycles))
+    )
+    reports: list[str] = []
+
+    async def go():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: reports.append(context["message"])
+        )
+        async with ShardedAuthServer(1, fault_plan=plan) as front:
+            server = await front.serve("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            for cycle in range(cycles):
+                _, writer = await asyncio.open_connection("127.0.0.1", port)
+                request = ranging_request(f"gc-{cycle}", rounds=1)
+                writer.write((encode_message(request) + "\n").encode("utf-8"))
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+                await asyncio.sleep(0.1)
+                gc.collect()
+            server.close()
+            await server.wait_closed()
+
+    run_async(go())
+    gc.collect()
+    assert "Task was destroyed but it is pending!" not in reports
+
+
+def test_failed_start_kills_and_joins_spawned_workers(tmp_path):
+    """Workers are not daemons: one left running after ``start()`` fails
+    would block the interpreter's exit forever."""
+    script = (
+        "import asyncio, multiprocessing\n"
+        "from repro.service.shard import ShardedAuthServer\n"
+        "async def main():\n"
+        "    try:\n"
+        "        await ShardedAuthServer(2, ready_timeout=0.2).start()\n"
+        "    except RuntimeError as error:\n"
+        "        print('raised:', error)\n"
+        "    print('children:', len(multiprocessing.active_children()))\n"
+        "asyncio.run(main())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    process = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin", "TMPDIR": str(tmp_path)},
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = process.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        # Take the surviving workers down with it.
+        os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
+        pytest.fail("the process did not exit after start() failed")
+    assert process.returncode == 0, stderr
+    assert "did not become ready within 0.2s" in stdout
+    assert "children: 0" in stdout
+    # The private socket directory went with the workers.
+    assert list(tmp_path.iterdir()) == []

@@ -15,6 +15,11 @@ does not resolve against the actual codebase:
   ``scenario run``), and the subcommand must exist; every inline code
   span that is just a flag (optionally with a metavar, e.g.
   ``--batch N``) must be registered on some parser;
+* **Tool flags** — every ``--flag`` on a ``python tools/<name>.py …``
+  line inside a fenced shell block must be registered on that tool's
+  ``build_parser()`` (the file is loaded by path); a line passing flags
+  to a tool that does not exist or has no ``build_parser()`` is
+  reported too;
 * **Relative links** — every ``[text](path)`` markdown link that is not
   an URL or anchor must point at an existing file.
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import importlib.util
 import itertools
 import re
 import sys
@@ -39,6 +45,8 @@ FENCE_RE = re.compile(r"^(```|~~~)")
 INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: A shell line running one of the repository's tools.
+TOOL_LINE_RE = re.compile(r"\bpython3? (tools/[A-Za-z0-9_]+\.py)(.*)")
 #: An inline code span that is exactly one flag, optionally with a
 #: placeholder metavar ("--batch N", "--dsp-backend NAME").
 INLINE_FLAG_RE = re.compile(r"^(--[a-z][a-z0-9-]*)(?:[= ][A-Za-z0-9_./-]+)?$")
@@ -178,6 +186,43 @@ def command_path(
     return path
 
 
+def collect_tool_flags(text: str) -> set[tuple[str, str]]:
+    """(tool path, flag) for every flag on a ``python tools/<name>.py`` line."""
+    found: set[tuple[str, str]] = set()
+    _, code = split_markdown(text)
+    for line in join_continuations(code):
+        match = TOOL_LINE_RE.search(line)
+        if match:
+            tool, tail = match.groups()
+            found.update((tool, flag) for flag in FLAG_RE.findall(tail))
+    return found
+
+
+def tool_flags(tool: str) -> set[str] | str:
+    """Option strings of ``tool``'s ``build_parser()``, or why there are none.
+
+    The tool is loaded by path, as a module that is not ``__main__``, so
+    only its definitions run.
+    """
+    path = REPO_ROOT / tool
+    if not path.is_file():
+        return "no such tool"
+    spec = importlib.util.spec_from_file_location(f"_docs_tool_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first, as an import would: dataclasses look their
+    # module up in sys.modules while the tool's body runs.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    build_parser = getattr(module, "build_parser", None)
+    if build_parser is None:
+        return "it has no build_parser() to check its flags against"
+    return {
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+    }
+
+
 def collect_links(text: str) -> set[str]:
     links: set[str] = set()
     prose, _ = split_markdown(text)
@@ -217,6 +262,16 @@ def check_document(path: Path, verbose: bool) -> list[str]:
     for command in sorted(commands - known_commands):
         problems.append(f"{label}: unknown CLI subcommand {command!r}")
 
+    tool_refs = collect_tool_flags(text)
+    for tool in sorted({tool for tool, _ in tool_refs}):
+        registered = tool_flags(tool)
+        if isinstance(registered, str):
+            problems.append(f"{label}: cannot check flags of {tool!r} ({registered})")
+            continue
+        for flag in sorted(flag for name, flag in tool_refs if name == tool):
+            if flag not in registered:
+                problems.append(f"{label}: unknown flag {flag!r} on {tool!r}")
+
     links = collect_links(text)
     for link in sorted(links):
         if link and not (path.parent / link).exists() and not (
@@ -225,7 +280,11 @@ def check_document(path: Path, verbose: bool) -> list[str]:
             problems.append(f"{label}: broken link {link!r}")
 
     if verbose:
-        flags = prose_flags | {flag for _, flag in code_flags}
+        flags = (
+            prose_flags
+            | {flag for _, flag in code_flags}
+            | {flag for _, flag in tool_refs}
+        )
         print(
             f"{label}: {len(symbols)} symbols, {len(flags)} flags, "
             f"{len(commands)} subcommands, {len(links)} links",

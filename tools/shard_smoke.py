@@ -7,6 +7,11 @@ equal.  This is the deployment contract of
 ``docs/service.md#the-multi-process-serving-tier``: adding workers may
 only change throughput, never bits.
 
+It also fails when asyncio reports a task "destroyed but it is pending":
+the router must keep each connection handler alive until its sockets are
+closed, so the smoke hangs up once with a request in flight and collects
+garbage while the router still owes that client its replies.
+
 Run with ``PYTHONPATH=src python tools/shard_smoke.py``.
 """
 
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import sys
 
 from repro.service import RangingRequest, ShardedAuthServer
@@ -25,9 +31,10 @@ async def served_reply_lines(workers: int, request: RangingRequest) -> list[byte
     async with ShardedAuthServer(workers) as front:
         server = await front.serve("127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
+        frame = (encode_message(request) + "\n").encode("utf-8")
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         try:
-            writer.write((encode_message(request) + "\n").encode("utf-8"))
+            writer.write(frame)
             await writer.drain()
             lines: list[bytes] = []
             while True:
@@ -40,12 +47,30 @@ async def served_reply_lines(workers: int, request: RangingRequest) -> list[byte
         finally:
             writer.close()
             await writer.wait_closed()
+        # Hang up with the request in flight again and collect garbage
+        # while the router still owes this client its replies: a
+        # connection handler the router does not keep alive dies here.
+        _, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(frame)
+        await writer.drain()
+        writer.close()
+        await writer.wait_closed()
+        await asyncio.sleep(0.02)
+        gc.collect()
         server.close()
         await server.wait_closed()
         return lines
 
 
 async def run_smoke(rounds: int) -> int:
+    destroyed: list[str] = []
+
+    def report(loop: asyncio.AbstractEventLoop, context: dict) -> None:
+        if context.get("message") == "Task was destroyed but it is pending!":
+            destroyed.append(repr(context.get("task")))
+        loop.default_exception_handler(context)
+
+    asyncio.get_running_loop().set_exception_handler(report)
     request = RangingRequest(
         request_id="shard-smoke",
         environment="office",
@@ -62,6 +87,12 @@ async def run_smoke(rounds: int) -> int:
             if a != b:
                 print(f"  workers=1: {a!r}", file=sys.stderr)
                 print(f"  workers=2: {b!r}", file=sys.stderr)
+        return 1
+    gc.collect()
+    if destroyed:
+        print("FAIL: pending tasks were destroyed:", file=sys.stderr)
+        for task in destroyed:
+            print(f"  {task}", file=sys.stderr)
         return 1
     if any(b'"error"' in line for line in single):
         print("FAIL: the request errored instead of completing", file=sys.stderr)
