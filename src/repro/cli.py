@@ -372,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "worker processes behind the endpoint; >1 starts the "
-            "shard-by-session front tier (each session's requests "
-            "always land on the same worker). Decisions are "
+            "sharded front tier (each request goes to the worker "
+            "owing the fewest rounds). Decisions are "
             "bit-identical for any value."
         ),
     )

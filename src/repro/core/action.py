@@ -130,7 +130,7 @@ class ActionRanging:
             scan phases (:meth:`~repro.core.detection.FrequencyDetector
             .plan_fine_scan` / ``resolve_fine_scan``) are the same code,
             the per-window FFT/power arithmetic is row-wise independent,
-            and the serial path's second coarse pass over the same
+            and :meth:`observe`'s second coarse pass over the same
             recording (for the remote scan) recomputes exactly the matrix
             reused here.  Instead of 2·M coarse and 2·M fine FFT batches,
             the whole step runs in one stacked coarse pass and two stacked
@@ -171,8 +171,8 @@ class ActionRanging:
                 )
             ]
 
-        # One stacked coarse pass covers every recording; the serial path
-        # computes this matrix once per detect() call (twice per
+        # One stacked coarse pass covers every recording; per-device
+        # observe() computes this matrix once per scan (twice per
         # recording), always with identical values.
         coarse_powers = detector.candidate_powers_stacked(
             recordings, [(i, coarse_starts) for i in range(count)]

@@ -23,9 +23,9 @@ interaction).  Eight modules:
   the §VI-C Gaussian model (read over the wire via ``calibrate``);
 * **shard** — :class:`ShardedAuthServer`, the multi-process front tier:
   one TCP endpoint, N *supervised* worker processes (crash detection,
-  pinned-slot respawn with bounded backoff, a crash-loop circuit
-  breaker), consistent session → shard routing
-  (``python -m repro serve --workers N``);
+  same-slot respawn with bounded backoff, a crash-loop circuit
+  breaker), least-owed-rounds routing, and the tier's one calibration
+  window (``python -m repro serve --workers N``);
 * **client** — :class:`AuthClient`, an async client multiplexing
   concurrent requests over one connection, with :class:`RetryPolicy`
   retries (idempotent by request id) and transparent reconnect;

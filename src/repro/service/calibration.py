@@ -11,14 +11,23 @@ threshold τ meeting a target FRR through the §VI-C Gaussian model
 :meth:`repro.eval.frr_far.GaussianAuthModel.threshold_for_frr`).
 
 This is the service half of the decide seam: evidence is recorded once
-on the round path (no extra renders, no RNG), and τ selection is a pure
-fan-out over it — the wire ``calibrate`` message
+per served round decision (no extra renders, no RNG), and τ selection is
+a pure fan-out over it — the wire ``calibrate`` message
 (:class:`~repro.service.protocol.CalibrateRequest`) just reads the
-current summary.  Until an environment has seen enough traffic
-(``min_samples``), the paper-implied σ priors
+current summary (:meth:`CalibrationStore.reply`).  Until an environment
+has seen enough traffic (``min_samples``), the paper-implied σ priors
 (:data:`repro.eval.frr_far.PAPER_SIGMAS_M`) answer instead, flagged
 ``source="prior"``; hardware deployments without ground truth would
 feed the window from supervised enrollment rounds the same way.
+
+A tier keeps one store: the single-process server records the decisions
+it streams, and the sharded router records the decisions it forwards
+(:mod:`repro.service.shard`), so ``calibrate`` does not depend on the
+worker count.  A round is keyed by ``(session key, trial)``, and a key
+already in the window is not counted again, so a retried round counts
+once.  Recording and :func:`robust_sigma` are stdlib-only — the router
+records without loading numpy or scipy; the τ model loads on the first
+summary.
 """
 
 from __future__ import annotations
@@ -26,9 +35,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Hashable
 
-from repro.core.decisions import CalibrationContext
-from repro.eval.frr_far import PAPER_SIGMAS_M
+from repro.service.protocol import CalibrateReply, CalibrateRequest, ErrorReply
 
 __all__ = ["CalibrationStore", "CalibrationSummary", "robust_sigma"]
 
@@ -109,7 +118,10 @@ class CalibrationStore:
             raise ValueError(f"min_samples must be >= 2, got {min_samples!r}")
         self.window = window
         self.min_samples = min_samples
-        self._errors: dict[str, deque[float]] = {}
+        #: Per environment: the windowed ``(key, error)`` pairs, oldest
+        #: first, and the set of keys among them.
+        self._errors: dict[str, deque[tuple[Hashable, float]]] = {}
+        self._keys: dict[str, set[Hashable]] = {}
         self._recorded = 0
 
     @property
@@ -117,8 +129,15 @@ class CalibrationStore:
         """Total errors ever recorded (evicted samples included)."""
         return self._recorded
 
-    def record(self, environment: str, error_m: float) -> None:
-        """Add one completed round's signed ranging error (meters)."""
+    def record(
+        self, environment: str, error_m: float, key: Hashable | None = None
+    ) -> None:
+        """Add one completed round's signed ranging error (meters).
+
+        ``key`` names the round (the service passes ``(session key,
+        trial)``); a key already in the window is dropped, so a retried
+        round counts once.  ``None`` never deduplicates.
+        """
         if not isinstance(environment, str) or not environment:
             raise ValueError("environment must be a non-empty string")
         error_m = float(error_m)
@@ -126,8 +145,16 @@ class CalibrationStore:
             return  # defensive: never poison the window
         window = self._errors.get(environment)
         if window is None:
-            window = self._errors[environment] = deque(maxlen=self.window)
-        window.append(error_m)
+            window = self._errors[environment] = deque()
+            self._keys[environment] = set()
+        keys = self._keys[environment]
+        if key is not None:
+            if key in keys:
+                return
+            keys.add(key)
+        if len(window) == self.window:
+            keys.discard(window.popleft()[0])
+        window.append((key, error_m))
         self._recorded += 1
 
     def samples(self, environment: str) -> int:
@@ -143,10 +170,12 @@ class CalibrationStore:
         all-identical window (σ = 0) also falls back to the prior: the
         Gaussian model needs σ > 0.
         """
+        from repro.eval.frr_far import PAPER_SIGMAS_M
+
         window = self._errors.get(environment, ())
         prior = PAPER_SIGMAS_M.get(environment, PAPER_SIGMAS_M["office"])
         if len(window) >= self.min_samples:
-            measured = robust_sigma(window)
+            measured = robust_sigma(error for _, error in window)
             if measured > 0:
                 return measured, len(window), "measured"
         return prior, len(window), "prior"
@@ -155,6 +184,8 @@ class CalibrationStore:
         self, environment: str, target_frr: float = 0.05
     ) -> CalibrationSummary:
         """Current σ and the tightest τ meeting ``target_frr`` (fraction)."""
+        from repro.core.decisions import CalibrationContext
+
         sigma_m, samples, source = self.sigma(environment)
         context = CalibrationContext(sigma_m=sigma_m, target_frr=target_frr)
         return CalibrationSummary(
@@ -164,4 +195,44 @@ class CalibrationStore:
             samples=samples,
             target_frr=target_frr,
             source=source,
+        )
+
+    def reply(self, request: CalibrateRequest) -> CalibrateReply | ErrorReply:
+        """The wire answer to ``request``: the calibrated τ, or why not.
+
+        A tier answers once, as shard 0 of 1.  Unknown environments and
+        targets outside (0, 100) % get a ``bad-request`` error.
+        """
+        from repro.acoustics.environment import get_environment
+
+        if not 0 < request.target_frr_pct < 100:
+            return ErrorReply(
+                request_id=request.request_id,
+                code="bad-request",
+                message=(
+                    "target_frr_pct must be in (0, 100), got "
+                    f"{request.target_frr_pct!r}"
+                ),
+            )
+        try:
+            get_environment(request.environment)
+        except KeyError:
+            return ErrorReply(
+                request_id=request.request_id,
+                code="bad-request",
+                message=f"unknown environment {request.environment!r}",
+            )
+        summary = self.summary(
+            request.environment, target_frr=request.target_frr_pct / 100.0
+        )
+        return CalibrateReply(
+            request_id=request.request_id,
+            shard=0,
+            shards=1,
+            environment=summary.environment,
+            threshold_m=summary.threshold_m,
+            sigma_m=summary.sigma_m,
+            samples=summary.samples,
+            target_frr_pct=100.0 * summary.target_frr,
+            source=summary.source,
         )

@@ -20,9 +20,9 @@ and transparently re-issues the request on *retriable* failures —
 desynchronized reply stream, or a per-attempt timeout (which is what a
 lost reply frame looks like from here).  The retry reuses the same
 request id: the service derives every decision deterministically from
-``(session, trial)`` and the sharded tier pins sessions to slots, so a
-re-execution returns byte-identical decisions — retrying is idempotent
-by construction.  Backoff is capped-exponential with *deterministic*
+``(session, trial)``, so a re-execution returns byte-identical decisions
+on whichever shard worker it lands — retrying is idempotent by
+construction.  Backoff is capped-exponential with *deterministic*
 jitter (hashed from ``request_id:attempt``), so tests and chaos runs
 replay exactly.
 """
@@ -298,13 +298,14 @@ class AuthClient:
 
     async def calibrate(
         self, environment: str = "office", target_frr_pct: float = 5.0
-    ) -> list[CalibrateReply]:
-        """Fetch the calibrated τ for an environment, one reply per shard.
+    ) -> CalibrateReply:
+        """Fetch the calibrated τ for an environment.
 
-        Each shard answers from the ranging evidence of the sessions
-        routed to it (``source="measured"``), or the paper-implied σ
-        prior before enough traffic has accrued (``source="prior"``);
-        the list comes back sorted by shard index.
+        A tier answers with one reply whatever its worker count: the
+        single-process server from the decisions it streamed, the
+        sharded router from the decisions it forwarded, both from
+        ``source="measured"`` evidence once enough traffic has accrued,
+        or the paper-implied σ prior before (``source="prior"``).
         """
         request_id = self._next_request_id()
         if request_id in self._pending:
@@ -321,20 +322,16 @@ class AuthClient:
             )
             self._writer.write((line + "\n").encode())
             await self._writer.drain()
-            replies: list[CalibrateReply] = []
-            while True:
-                reply = await queue.get()
-                if isinstance(reply, _ReaderFailed):
-                    raise reply.error
-                if isinstance(reply, ErrorReply):
-                    raise ServiceError(reply)
-                if not isinstance(reply, CalibrateReply):
-                    raise ProtocolError(
-                        f"unexpected calibrate reply: {type(reply).__name__}"
-                    )
-                replies.append(reply)
-                if len(replies) >= reply.shards:
-                    return sorted(replies, key=lambda r: r.shard)
+            reply = await queue.get()
+            if isinstance(reply, _ReaderFailed):
+                raise reply.error
+            if isinstance(reply, ErrorReply):
+                raise ServiceError(reply)
+            if not isinstance(reply, CalibrateReply):
+                raise ProtocolError(
+                    f"unexpected calibrate reply: {type(reply).__name__}"
+                )
+            return reply
         finally:
             self._pending.pop(request_id, None)
 

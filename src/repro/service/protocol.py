@@ -14,8 +14,8 @@ newline-delimited JSON encoding (one message per line):
   decision.  It also terminates the stream.  ``code`` comes from
   :data:`ERROR_CODES`; the codes in :data:`RETRIABLE_ERROR_CODES`
   (``busy``, ``timeout``, ``unavailable``) invite an idempotent retry —
-  routing is deployment-pinned, so a retried request reproduces the
-  original decision bit for bit.  Every error path fails **closed**: an
+  every round is a pure function of ``(session, trial)``, so a retried
+  request reproduces the original decision bit for bit on any worker.  Every error path fails **closed**: an
   error is never a grant.
 
 Further messages carry operational traffic rather than authentication
@@ -28,8 +28,9 @@ waits, queue high-water) thereby become observable to load generators
 and operators over the same wire.  :class:`CalibrateRequest` /
 :class:`CalibrateReply` read the server's per-deployment threshold
 calibration (:mod:`repro.service.calibration`): the σ_d estimated from
-served ranging evidence and the tightest τ meeting a target FRR — also
-one reply per shard (``repro.service.AuthClient.calibrate`` collects).
+served ranging evidence and the tightest τ meeting a target FRR — one
+reply per tier, which the sharded router answers itself from the
+decisions it forwarded.
 
 This module is the stdlib-only wire layer: it imports nothing from the
 simulator, so the shard router and the client stack that use it load
@@ -86,8 +87,9 @@ class ProtocolError(ValueError):
 #: * ``timeout`` — the request's ``deadline_ms`` lapsed before its round
 #:   was admitted to a DSP batch, or the DSP executor timed out; the
 #:   round is denied (fail closed), never partially decided;
-#: * ``unavailable`` — the shard worker owning the session exited
-#:   mid-request (or is restarting/crash-looped); nothing was replayed;
+#: * ``unavailable`` — the shard worker serving the request exited
+#:   mid-request (or every slot is restarting/crash-looped); nothing was
+#:   replayed;
 #: * ``internal-error`` — an unexpected exception; fail closed.
 ERROR_CODES = (
     "bad-request",
@@ -241,14 +243,14 @@ class CalibrateRequest:
 
 @dataclass(frozen=True)
 class CalibrateReply:
-    """Server → client: one shard's calibration state for an environment.
+    """Server → client: a tier's calibration state for an environment.
 
-    ``shard``/``shards`` work as in :class:`StatsReply` — each shard
-    calibrates from the sessions routed to it, so a client collects
-    ``shards`` replies.  ``sigma_m`` is the σ_d behind the picked
-    ``threshold_m``; ``samples`` how many served ranging errors back it;
-    ``source`` is ``"measured"`` (from served evidence) or ``"prior"``
-    (paper-implied σ, not enough traffic yet).
+    A tier answers once, as ``shard`` 0 of ``shards`` 1: the sharded
+    router calibrates from every decision it forwarded, so the reply
+    does not depend on the worker count.  ``sigma_m`` is the σ_d behind
+    the picked ``threshold_m``; ``samples`` how many served ranging
+    errors back it; ``source`` is ``"measured"`` (from served evidence)
+    or ``"prior"`` (paper-implied σ, not enough traffic yet).
     """
 
     request_id: str

@@ -168,9 +168,11 @@ class BatchingScheduler:
     """Batches concurrent rounds into stacked DSP passes.
 
     Stacked passes run one at a time on the scheduler's own one-thread
-    executor: the collector awaits each pass before gathering the next,
-    and pocketfft releases the GIL, so the pass overlaps the event loop's
-    request path.
+    executor: the collector awaits each pass before gathering the next.
+    A pass overlaps the request path's RNG draws (``Generator`` sampling
+    releases the GIL), not its Python work: with numpy 2.4 two threads
+    running ``rfft`` take as long as running them one after the other.
+    Extra cores come from ``--workers``.
 
     Parameters
     ----------

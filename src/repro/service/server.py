@@ -39,8 +39,8 @@ request on shutdown.  Operational telemetry travels over the same wire:
 a :class:`~repro.service.protocol.StatsRequest` is answered (even while
 draining) with the scheduler's cumulative counters, and a
 :class:`~repro.service.protocol.CalibrateRequest` with the per-deployment
-threshold calibration distilled from served ranging evidence
-(:mod:`repro.service.calibration`).
+threshold calibration distilled from the round decisions this service
+streamed (:mod:`repro.service.calibration`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from repro.sim.pipeline import (
 )
 from repro.service.calibration import CalibrationStore
 from repro.service.protocol import (
-    CalibrateReply,
     CalibrateRequest,
     ErrorReply,
     Message,
@@ -78,6 +77,7 @@ from repro.service.scheduler import (
     DeadlineExceeded,
     ServiceOverloaded,
 )
+from repro.service.shard import session_key
 
 __all__ = [
     "AuthService",
@@ -423,12 +423,22 @@ class AuthService:
                             message=f"round failed: {error!r}",
                         )
                         return
-                    decisions.append(
-                        round_decision(
-                            request, index, request.first_trial + index, outcome
-                        )
+                    decision = round_decision(
+                        request, index, request.first_trial + index, outcome
                     )
-                    yield decisions[-1]
+                    if outcome.ok:
+                        # Free calibration evidence: on the simulated
+                        # substrate the request carries the true distance,
+                        # so the round's signed ranging error is
+                        # observable — the same float the sharded router
+                        # records from the forwarded decision.
+                        self.calibration.record(
+                            request.environment,
+                            decision.distance_m - request.distance_m,
+                            key=(session_key(request), decision.trial),
+                        )
+                    decisions.append(decision)
+                    yield decision
             finally:
                 pending = [task for task in tasks if not task.done()]
                 for task in pending:
@@ -460,48 +470,6 @@ class AuthService:
             batch_histogram=stats.histogram_text(),
             deadline_expired=stats.deadline_expired,
             dsp_timeouts=stats.dsp_timeouts,
-        )
-
-    def calibrate_reply(
-        self, request: CalibrateRequest
-    ) -> CalibrateReply | ErrorReply:
-        """This shard's calibrated τ for one environment as a wire message.
-
-        σ_d comes from the ranging errors of rounds this shard served
-        (:mod:`repro.service.calibration`); until enough traffic has
-        accrued the paper-implied prior answers, flagged ``source=
-        "prior"``.
-        """
-        if not 0 < request.target_frr_pct < 100:
-            return ErrorReply(
-                request_id=request.request_id,
-                code="bad-request",
-                message=(
-                    "target_frr_pct must be in (0, 100), got "
-                    f"{request.target_frr_pct!r}"
-                ),
-            )
-        try:
-            get_environment(request.environment)
-        except KeyError:
-            return ErrorReply(
-                request_id=request.request_id,
-                code="bad-request",
-                message=f"unknown environment {request.environment!r}",
-            )
-        summary = self.calibration.summary(
-            request.environment, target_frr=request.target_frr_pct / 100.0
-        )
-        return CalibrateReply(
-            request_id=request.request_id,
-            shard=self.shard_index,
-            shards=self.shard_count,
-            environment=summary.environment,
-            threshold_m=summary.threshold_m,
-            sigma_m=summary.sigma_m,
-            samples=summary.samples,
-            target_frr_pct=100.0 * summary.target_frr,
-            source=summary.source,
         )
 
     async def _run_round(
@@ -542,18 +510,9 @@ class AuthService:
                 )
                 session.artifacts.recording_auth = recordings.auth
                 session.artifacts.recording_vouch = recordings.vouch
-                outcome = exchange_and_decide(
+                return exchange_and_decide(
                     ctx, negotiation, detections, rng, session.artifacts
                 )
-                if outcome.ok and isinstance(spec.environment, str):
-                    # Free calibration evidence: on the simulated
-                    # substrate the spec carries the true distance, so
-                    # the round's signed ranging error is observable.
-                    self.calibration.record(
-                        spec.environment,
-                        outcome.require_distance() - spec.distance_m,
-                    )
-                return outcome
         finally:
             if not submitted:
                 self.scheduler.retract(1)
@@ -625,7 +584,7 @@ class AuthService:
                     continue
                 if isinstance(message, CalibrateRequest):
                     await self._send(
-                        writer, write_lock, self.calibrate_reply(message)
+                        writer, write_lock, self.calibration.reply(message)
                     )
                     continue
                 if not isinstance(message, RangingRequest):

@@ -1,26 +1,27 @@
-"""Shard-by-session front tier: N supervised workers, one TCP endpoint.
+"""Least-owed front tier: N supervised workers, one TCP endpoint.
 
 :class:`ShardedAuthServer` multiplies the streaming service across CPU
 cores the way a deployment would: it owns the public JSON-lines TCP
 listener and routes every :class:`~repro.service.protocol.RangingRequest`
 to one of N spawned worker processes, each running a full
-:class:`~repro.service.AuthService` (event loop, scheduler, DSP executor)
+:class:`~repro.service.AuthService` (event loop, scheduler, DSP thread)
 behind a private unix-domain socket.
 
-Routing is **by session, not by request**: the shard index is a stable
-hash of the request's session key — ``(environment, distance_m, seed)``,
-the triple that fixes a cell's entire RNG universe — so every round of
-every request touching one session lands on the same worker, in every
-process topology.  Two consequences:
-
-* **Determinism / bit-identity** — a worker runs the identical stage
-  functions on the identical per-session RNG streams as the
-  single-process server (and as ``run_cell_spec``); which worker that is
-  cannot matter, and the router never re-encodes reply payloads — it
-  forwards the workers' raw JSON lines byte-for-byte — so the served
-  bits are exactly the single-process bits at any ``--workers`` count.
-* **Batch locality** — rounds of one session coalesce in one worker's
-  scheduler instead of being sprayed thin across all of them.
+Routing is **by load, not by session**.  Every decision is a pure
+function of ``(session, trial)``, so any worker computes the same bits
+for a round; pinning a session to one worker buys no correctness and
+only concentrates hot sessions on one core.  The router therefore sends
+each ranging request to the live shard that **owes the fewest rounds**:
+the rounds it has forwarded there, across all client connections, that
+no terminal reply (or router-sent ``unavailable``) has settled yet.
+Ties go to :func:`shard_for_session` — a stable blake2b hash of the
+request's session key ``(environment, distance_m, seed)`` — so an idle
+tier sends each session to its stable home shard, and with two shards
+this is the power-of-two-choices rule.  A slot that is down or breaker-open is
+skipped while another slot is up.  The router never re-encodes reply
+payloads — it forwards the workers' raw JSON lines byte-for-byte — so
+the served bits are exactly the single-process bits at any
+``--workers`` count.
 
 The hash is :func:`hashlib.blake2b`, not the builtin ``hash`` (which is
 salted per process and would route differently on every restart).
@@ -33,33 +34,39 @@ worker that exits outside a drain is a **crash**: the supervisor respawns
 it *on the same slot* after a bounded exponential backoff
 (``respawn_backoff_s`` doubling up to ``respawn_backoff_max_s``); a slot
 that keeps dying (more than ``max_respawns`` crashes inside a
-``crash_reset_s`` window) opens a **circuit breaker** and stays down —
-requests routed to it get a structured ``unavailable`` error instead of
-an infinite respawn loop.
+``crash_reset_s`` window) opens a **circuit breaker** and stays down.
+Requests avoid a down slot while another is up; if none is, they wait
+for a respawn (bounded by ``respawn_wait_s``) or get a structured
+``unavailable`` error instead of an infinite respawn loop.
 
 Nothing is replayed.  When a worker dies, every request in flight on it
 gets an **attributed, retriable** ``unavailable``
 :class:`~repro.service.protocol.ErrorReply` (the router tracks which
 request ids each shard owes replies to by peeking at forwarded reply
-lines — forwarding itself stays byte-verbatim).  Because routing is
-deployment-pinned and every round is deterministic in
-``(session, trial)``, a client retry of the same request id lands on the
-respawned worker and yields **byte-identical** decisions — retry-safety
-is a corollary of the determinism contract, not a journal.
+lines — forwarding itself stays byte-verbatim).  Because every round is
+deterministic in ``(session, trial)``, a client retry of the same
+request id yields **byte-identical** decisions on whichever worker it
+lands — retry-safety is a corollary of the determinism contract, not a
+journal.
 
 Shutdown is a coordinated drain: the router flips to answering new
 requests with ``busy``, cancels the supervisors (no respawns during
 shutdown), SIGTERMs the workers (each
 :meth:`~repro.service.AuthService.drain`\\ s: in-flight streams finish,
-the DSP pool closes), and waits for them to exit.  A worker that
+the DSP thread stops), and waits for them to exit.  A worker that
 receives SIGINT/SIGTERM directly (Ctrl-C hits the whole process group)
 drains itself the same way.
 
-Telemetry fans out: a :class:`~repro.service.protocol.StatsRequest` or
-:class:`~repro.service.protocol.CalibrateRequest` is forwarded to
-**all** workers, and each answers with its own reply carrying ``(shard,
-shards)`` so the client knows when it has the full set — each shard
-calibrates from the sessions routed to it.
+Calibration has one authority, the router.  The same JSON peek that
+settles owed rounds records each ok ``round_decision``'s ranging error
+(wire ``distance_m`` minus the request's) in one
+:class:`~repro.service.calibration.CalibrationStore`, and the router
+answers :class:`~repro.service.protocol.CalibrateRequest` itself with
+one reply (shard 0 of 1), exactly as a single-process server does — so
+``calibrate`` does not depend on the worker count.  A
+:class:`~repro.service.protocol.StatsRequest` still fans out to **all**
+workers, each answering with its own scheduler counters tagged
+``(shard, shards)`` so the client knows when it has the full set.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ import signal
 import tempfile
 from dataclasses import dataclass, field
 
+from repro.service.calibration import CalibrationStore
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.protocol import (
     CalibrateRequest,
@@ -89,24 +97,26 @@ __all__ = ["ShardedAuthServer", "session_key", "shard_for_session"]
 
 #: Reply ``type`` tags that end a request's reply stream — receiving one
 #: means the worker owes that request id nothing further.
-_TERMINAL_REPLY_TAGS = frozenset(
-    {"request_complete", "error", "stats_reply", "calibrate_reply"}
-)
+_TERMINAL_REPLY_TAGS = frozenset({"request_complete", "error", "stats_reply"})
 
 
 def session_key(request: RangingRequest) -> str:
-    """The routing key of a request: its RNG-universe-defining triple.
+    """The session of a request: its RNG-universe-defining triple.
 
-    ``first_trial``/``rounds`` slice *within* a session and must not
-    change routing — requests addressing disjoint slices of one cell
-    still belong on one worker.  ``distance_m`` uses ``repr``, which is
-    exact for floats, so distinct cells never alias.
+    ``first_trial``/``rounds`` slice *within* a session and do not enter
+    the key.  It breaks routing ties (:func:`shard_for_session`) and,
+    with the trial index, names a round for calibration.  ``distance_m``
+    uses ``repr``, which is exact for floats, so distinct cells never
+    alias.
     """
     return f"{request.environment}|{request.distance_m!r}|{request.seed}"
 
 
 def shard_for_session(key: str, shards: int) -> int:
-    """Stable shard index for a session key — identical in every process.
+    """Stable home shard of a session key — identical in every process.
+
+    The router sends a request to its home shard whenever that shard
+    owes no more rounds than any other live shard.
 
     blake2b rather than ``hash()``: the builtin is salted per interpreter
     (PYTHONHASHSEED), which would break routing stability across
@@ -193,8 +203,26 @@ class _WorkerSlot:
     failed: bool = False
 
 
+@dataclass
+class _ClientConnection:
+    """The router's state for one client connection."""
+
+    writer: asyncio.StreamWriter
+    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    #: Per shard, this connection's upstream (reader, writer), opened on
+    #: first use.
+    upstreams: dict[
+        int, tuple[asyncio.StreamReader, asyncio.StreamWriter]
+    ] = field(default_factory=dict)
+    pumps: list[asyncio.Task] = field(default_factory=list)
+    #: Per shard, the requests awaiting a terminal reply, by request id.
+    outstanding: dict[int, dict[str, Message]] = field(default_factory=dict)
+    #: Set once the client is gone: worker EOFs are then expected.
+    closing: bool = False
+
+
 class ShardedAuthServer:
-    """TCP front tier routing sessions to supervised worker processes.
+    """TCP front tier routing requests to supervised worker processes.
 
     Parameters
     ----------
@@ -283,6 +311,10 @@ class ShardedAuthServer:
         #: frame holds) alive while it waits for in-flight replies; a GC
         #: pass would destroy it mid-teardown and leak its sockets.
         self._handlers: set[asyncio.Task] = set()
+        #: Per shard, the rounds forwarded and not yet settled.
+        self._owed = [0] * workers
+        #: The tier's one calibration window, fed by forwarded decisions.
+        self.calibration = CalibrationStore()
         self._draining = False
         self._stopped = False
 
@@ -296,6 +328,11 @@ class ShardedAuthServer:
     def total_respawns(self) -> int:
         """Successful worker respawns across all slots (telemetry)."""
         return sum(slot.respawns for slot in self._slots)
+
+    @property
+    def owed_rounds(self) -> tuple[int, ...]:
+        """Per shard, the forwarded rounds not yet settled (telemetry)."""
+        return tuple(self._owed)
 
     def _spawn(self, shard: int) -> multiprocessing.Process:
         # A stale socket from the previous incarnation must go before
@@ -522,6 +559,28 @@ class ShardedAuthServer:
 
     # -- per-connection routing ----------------------------------------
 
+    def _route(self, request: RangingRequest) -> int:
+        """The live shard owing the fewest rounds; ties go home.
+
+        Home is :func:`shard_for_session`, then the shards after it in
+        index order, so an idle tier sends each session to its stable
+        home shard.  With no slot up, every slot is a candidate: the
+        pick then waits for its respawn or answers ``unavailable``.
+        """
+        home = shard_for_session(session_key(request), self.workers)
+        candidates = [
+            slot.shard
+            for slot in self._slots
+            if slot.ready.is_set() and not slot.failed
+        ]
+        return min(
+            candidates or range(self.workers),
+            key=lambda shard: (
+                self._owed[shard],
+                (shard - home) % self.workers,
+            ),
+        )
+
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -531,27 +590,22 @@ class ShardedAuthServer:
         this client; a pump task per upstream forwards the worker's
         reply lines to the client **verbatim** (no decode/re-encode on
         the reply path — the workers' bytes are the contract).  The
-        router remembers which request ids each shard still owes replies
-        to (``outstanding``), so a worker crash turns into attributed,
-        retriable ``unavailable`` errors instead of silence.
+        router remembers which requests each shard still owes replies
+        to, so a worker crash turns into attributed, retriable
+        ``unavailable`` errors instead of silence, and so owed rounds
+        are settled however the request ends.
         """
         handler = asyncio.current_task()
         self._handlers.add(handler)
         handler.add_done_callback(self._handlers.discard)
-        write_lock = asyncio.Lock()
-        upstreams: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
-        pumps: list[asyncio.Task] = []
-        #: Per shard, the request ids awaiting a terminal reply.
-        outstanding: dict[int, dict[str, None]] = {}
-        closing = [False]
+        conn = _ClientConnection(writer)
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except ValueError:
                     await self._send(
-                        writer,
-                        write_lock,
+                        conn,
                         ErrorReply(
                             "",
                             "bad-request",
@@ -567,32 +621,22 @@ class ShardedAuthServer:
                     message = decode_message(line)
                 except ProtocolError as error:
                     await self._send(
-                        writer,
-                        write_lock,
-                        ErrorReply("", "bad-request", str(error)),
+                        conn, ErrorReply("", "bad-request", str(error))
                     )
                     continue
-                if isinstance(message, (StatsRequest, CalibrateRequest)):
-                    # Fan out: every shard answers with its own view
-                    # (stats counters / calibration evidence), tagged
-                    # (shard, shards) so the client can collect the set.
+                if isinstance(message, CalibrateRequest):
+                    await self._send(conn, self.calibration.reply(message))
+                    continue
+                if isinstance(message, StatsRequest):
+                    # Fan out: every shard answers with its own scheduler
+                    # counters, tagged (shard, shards) so the client can
+                    # collect the set.
                     for shard in range(self.workers):
-                        await self._forward(
-                            shard,
-                            line,
-                            message.request_id,
-                            upstreams,
-                            pumps,
-                            outstanding,
-                            writer,
-                            write_lock,
-                            closing,
-                        )
+                        await self._forward(conn, shard, line, message)
                     continue
                 if not isinstance(message, RangingRequest):
                     await self._send(
-                        writer,
-                        write_lock,
+                        conn,
                         ErrorReply(
                             getattr(message, "request_id", ""),
                             "bad-request",
@@ -602,8 +646,7 @@ class ShardedAuthServer:
                     continue
                 if self._draining:
                     await self._send(
-                        writer,
-                        write_lock,
+                        conn,
                         ErrorReply(
                             message.request_id,
                             "busy",
@@ -611,18 +654,12 @@ class ShardedAuthServer:
                         ),
                     )
                     continue
-                shard = shard_for_session(session_key(message), self.workers)
-                forwarded = await self._forward(
-                    shard,
-                    line,
-                    message.request_id,
-                    upstreams,
-                    pumps,
-                    outstanding,
-                    writer,
-                    write_lock,
-                    closing,
-                )
+                # A reused request id means the client gave up on the
+                # earlier attempt (a retry): it owes nothing any more.
+                for shard in list(conn.outstanding):
+                    self._settle(conn, shard, message.request_id)
+                shard = self._route(message)
+                forwarded = await self._forward(conn, shard, line, message)
                 if (
                     forwarded
                     and self._faults is not None
@@ -640,22 +677,26 @@ class ShardedAuthServer:
             # Client went away (or half-closed): tell the workers no
             # more requests are coming, let in-flight replies finish
             # pumping, then tear the connection down.
-            closing[0] = True
-            for _, upstream_writer in upstreams.values():
+            conn.closing = True
+            for _, upstream_writer in conn.upstreams.values():
                 try:
                     upstream_writer.write_eof()
                 except (OSError, RuntimeError):
                     pass
             try:
-                if pumps:
-                    await asyncio.gather(*pumps, return_exceptions=True)
+                if conn.pumps:
+                    await asyncio.gather(*conn.pumps, return_exceptions=True)
             finally:
-                # Close every socket even when ``stop()`` cancels this
-                # handler while its pumps are still forwarding.
-                for _, upstream_writer in upstreams.values():
+                # Whatever is still owed (drain, cancellation) is settled
+                # here; close every socket even when ``stop()`` cancels
+                # this handler while its pumps are still forwarding.
+                for shard in list(conn.outstanding):
+                    for request_id in list(conn.outstanding[shard]):
+                        self._settle(conn, shard, request_id)
+                for _, upstream_writer in conn.upstreams.values():
                     upstream_writer.close()
                 writer.close()
-            for _, upstream_writer in upstreams.values():
+            for _, upstream_writer in conn.upstreams.values():
                 try:
                     await upstream_writer.wait_closed()
                 except (ConnectionResetError, BrokenPipeError):
@@ -667,36 +708,23 @@ class ShardedAuthServer:
 
     async def _forward(
         self,
+        conn: _ClientConnection,
         shard: int,
         line: bytes,
-        request_id: str,
-        upstreams: dict,
-        pumps: list,
-        outstanding: dict,
-        client_writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        closing: list,
+        message: RangingRequest | StatsRequest,
     ) -> bool:
         """Forward one request line to ``shard``; False = answered with
         a structured ``unavailable`` error instead (shard down)."""
         try:
-            upstream = await self._upstream(
-                shard,
-                upstreams,
-                pumps,
-                outstanding,
-                client_writer,
-                write_lock,
-                closing,
-            )
+            upstream = await self._upstream(conn, shard)
         except _ShardUnavailable as error:
             await self._send(
-                client_writer,
-                write_lock,
-                ErrorReply(request_id, "unavailable", str(error)),
+                conn, ErrorReply(message.request_id, "unavailable", str(error))
             )
             return False
-        outstanding.setdefault(shard, {})[request_id] = None
+        conn.outstanding.setdefault(shard, {})[message.request_id] = message
+        if isinstance(message, RangingRequest):
+            self._owed[shard] += message.rounds
         try:
             upstream.write(line)
             await upstream.drain()
@@ -706,15 +734,16 @@ class ShardedAuthServer:
             pass
         return True
 
+    def _settle(
+        self, conn: _ClientConnection, shard: int, request_id: str
+    ) -> None:
+        """``shard`` owes ``request_id`` nothing further on ``conn``."""
+        message = conn.outstanding.get(shard, {}).pop(request_id, None)
+        if isinstance(message, RangingRequest):
+            self._owed[shard] -= message.rounds
+
     async def _upstream(
-        self,
-        shard: int,
-        upstreams: dict,
-        pumps: list,
-        outstanding: dict,
-        client_writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        closing: list,
+        self, conn: _ClientConnection, shard: int
     ) -> asyncio.StreamWriter:
         """This connection's upstream to ``shard``, opened on first use.
 
@@ -724,7 +753,7 @@ class ShardedAuthServer:
         the wait budget, raises :class:`_ShardUnavailable` — the caller
         answers with a structured, retriable error.
         """
-        entry = upstreams.get(shard)
+        entry = conn.upstreams.get(shard)
         if entry is not None:
             return entry[1]
         slot = self._slots[shard]
@@ -757,29 +786,23 @@ class ShardedAuthServer:
             raise _ShardUnavailable(
                 f"shard {shard} worker is not accepting connections; retry"
             ) from None
-        upstreams[shard] = (upstream_reader, upstream_writer)
-        pumps.append(
+        conn.upstreams[shard] = (upstream_reader, upstream_writer)
+        conn.pumps.append(
             asyncio.get_running_loop().create_task(
-                self._pump(
-                    shard,
-                    upstream_reader,
-                    upstreams,
-                    outstanding,
-                    client_writer,
-                    write_lock,
-                    closing,
-                )
+                self._pump(conn, shard, upstream_reader)
             )
         )
         return upstream_writer
 
-    @staticmethod
-    def _note_reply(shard: int, line: bytes, outstanding: dict) -> None:
-        """Retire the request id a terminal reply line settles.
+    def _note_reply(
+        self, conn: _ClientConnection, shard: int, line: bytes
+    ) -> None:
+        """Record a forwarded decision's error, or settle a terminal reply.
 
         This peek is the only reply-path JSON parse, and it never feeds
         what gets forwarded — the client receives the worker's original
-        bytes regardless.
+        bytes regardless.  The codec is float-exact, so the error is the
+        very float the single-process server records.
         """
         try:
             payload = json.loads(line)
@@ -787,24 +810,35 @@ class ShardedAuthServer:
             return
         if not isinstance(payload, dict):
             return
-        if payload.get("type") not in _TERMINAL_REPLY_TAGS:
-            return
+        tag = payload.get("type")
         request_id = payload.get("request_id")
-        pending = outstanding.get(shard)
-        if pending is not None and request_id in pending:
-            del pending[request_id]
+        if tag == "round_decision":
+            request = conn.outstanding.get(shard, {}).get(request_id)
+            if (
+                isinstance(request, RangingRequest)
+                and payload.get("status") == "ok"
+            ):
+                self.calibration.record(
+                    request.environment,
+                    payload["distance_m"] - request.distance_m,
+                    key=(session_key(request), payload["trial"]),
+                )
+        elif tag in _TERMINAL_REPLY_TAGS:
+            self._settle(conn, shard, request_id)
 
     async def _pump(
         self,
+        conn: _ClientConnection,
         shard: int,
         upstream_reader: asyncio.StreamReader,
-        upstreams: dict,
-        outstanding: dict,
-        client_writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        closing: list,
     ) -> None:
-        """Forward one worker's reply lines to the client, byte-for-byte."""
+        """Forward one worker's reply lines to the client, byte-for-byte.
+
+        Once the client is gone the pump keeps reading without writing,
+        so the rounds the worker still computes stay owed until it
+        finishes them.
+        """
+        client_gone = False
         while True:
             try:
                 line = await upstream_reader.readline()
@@ -817,33 +851,35 @@ class ShardedAuthServer:
                 line = b""
             if not line:
                 break
-            self._note_reply(shard, line, outstanding)
+            self._note_reply(conn, shard, line)
+            if client_gone:
+                continue
             try:
-                async with write_lock:
-                    client_writer.write(line)
-                    await client_writer.drain()
+                async with conn.write_lock:
+                    conn.writer.write(line)
+                    await conn.writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 # The *client* went away; _handle_client's cleanup owns
-                # the teardown, nothing left to attribute.
-                return
-        if closing[0] or self._draining:
+                # the teardown.
+                client_gone = True
+        if conn.closing or client_gone or self._draining:
             return
         # The worker hung up while the client is still talking — a
         # crash, not a drain.  Evict the dead upstream (the next request
-        # for this shard reconnects to the respawned worker) and fail
-        # every request this shard still owed a terminal reply with an
-        # attributed, retriable error: deployment-pinned routing plus
-        # per-(session, trial) determinism make the retry land on the
-        # replacement worker with byte-identical decisions.
-        entry = upstreams.pop(shard, None)
+        # reconnects or goes to another shard) and fail every request
+        # this shard still owed a terminal reply with an attributed,
+        # retriable error: per-(session, trial) determinism makes the
+        # retry byte-identical wherever it lands.
+        entry = conn.upstreams.pop(shard, None)
         if entry is not None:
             entry[1].close()
-        lost = outstanding.pop(shard, {})
+        lost = list(conn.outstanding.get(shard, {}))
+        for request_id in lost:
+            self._settle(conn, shard, request_id)
         for request_id in lost:
             try:
                 await self._send(
-                    client_writer,
-                    write_lock,
+                    conn,
                     ErrorReply(
                         request_id,
                         "unavailable",
@@ -855,12 +891,8 @@ class ShardedAuthServer:
                 return
 
     @staticmethod
-    async def _send(
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        message: Message,
-    ) -> None:
+    async def _send(conn: _ClientConnection, message: Message) -> None:
         data = (encode_message(message) + "\n").encode("utf-8")
-        async with write_lock:
-            writer.write(data)
-            await writer.drain()
+        async with conn.write_lock:
+            conn.writer.write(data)
+            await conn.writer.drain()

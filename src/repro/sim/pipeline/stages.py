@@ -688,7 +688,17 @@ def run_staged(
     rng: np.random.Generator,
     artifacts: SessionArtifacts | None = None,
 ) -> RangingOutcome:
-    """Chain the five stages for one session (the serial path)."""
+    """Chain the five stages for one session (the serial path).
+
+    Render and detect go through the batch seams at B = 1
+    (:func:`render_arrivals`, :func:`repro.sim.pipeline.detect_batch`):
+    same kernel calls as a batch of one, and each recording's coarse
+    pass is computed once for both of its scans instead of once per
+    :func:`detect` scan.
+    """
+    # Imported here: the batch module builds on this one.
+    from repro.sim.pipeline.batch import detect_batch
+
     negotiation = negotiate(ctx, rng)
     if artifacts is not None:
         artifacts.signals = negotiation.signals
@@ -704,5 +714,5 @@ def run_staged(
         artifacts.recording_auth = recordings.auth
         artifacts.recording_vouch = recordings.vouch
 
-    detections = detect(ctx, negotiation, recordings)
+    (detections,) = detect_batch([(ctx, negotiation, recordings)])
     return exchange_and_decide(ctx, negotiation, detections, rng, artifacts)

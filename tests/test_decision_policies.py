@@ -333,6 +333,14 @@ def test_store_window_evicts_oldest():
         store.record("home", 0.01 * i)
     assert store.samples("home") == 8
     assert store.recorded == 20
+    # A keyed round already in the window is dropped (a retry); once
+    # evicted, its key counts again.
+    for i in range(20):
+        store.record("office", 0.01 * i, key=("s", i))
+    store.record("office", 0.5, key=("s", 19))
+    assert (store.samples("office"), store.recorded) == (8, 40)
+    store.record("office", 0.5, key=("s", 0))
+    assert (store.samples("office"), store.recorded) == (8, 41)
 
 
 def test_store_degenerate_window_falls_back_to_prior():

@@ -102,3 +102,22 @@ def test_checker_checks_tool_flags_against_the_tools_parser(
         "(it has no build_parser() to check its flags against)",
         "README.md: unknown flag '--corpus' on 'tools/loadgen.py'",
     ]
+
+
+def test_checker_checks_tool_flags_in_inline_code_spans(tmp_path, monkeypatch):
+    """An inline span naming a tool with flags is checked like a fenced
+    line, with or without ``python`` in front."""
+    checker = _load_checker()
+    root = tmp_path
+    (root / "docs").mkdir()
+    (root / "tools").mkdir()
+    shutil.copy(TOOLS_DIR / "loadgen.py", root / "tools" / "loadgen.py")
+    (root / "README.md").write_text(
+        "retry with `tools/loadgen.py --retries 2 --retry-forever`,\n"
+        "or `python tools/loadgen.py --scenario home-reauth`;\n"
+        "and `tools/loadgen.py` alone passes no flag\n"
+    )
+    monkeypatch.setattr(checker, "REPO_ROOT", root)
+    assert checker.run_checks() == [
+        "README.md: unknown flag '--retry-forever' on 'tools/loadgen.py'",
+    ]

@@ -10,6 +10,7 @@ test process itself has long since imported everything.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import subprocess
 import sys
@@ -18,6 +19,41 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Served before ``calibrate`` in both topologies: two sessions, then the
+#: first request retried under its own id (its rounds count once).
+CALIBRATION_TRAFFIC = """
+import asyncio
+
+from repro.service.client import AuthClient
+from repro.service.protocol import CalibrateRequest, encode_message
+
+REQUESTS = [
+    dict(request_id="a", environment="quiet_lab", distance_m=0.8, seed=3,
+         rounds=4, threshold_m=2.0),
+    dict(request_id="b", environment="quiet_lab", distance_m=1.2, seed=4,
+         rounds=4, threshold_m=2.0),
+]
+
+
+async def serve_traffic(port):
+    async with await AuthClient.connect("127.0.0.1", port) as client:
+        await asyncio.gather(
+            *(client.authenticate(**fields) for fields in REQUESTS)
+        )
+        await client.authenticate(**REQUESTS[0])
+
+
+async def calibrate_line(port):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    request = CalibrateRequest("cal", "quiet_lab", 5.0)
+    writer.write((encode_message(request) + "\\n").encode())
+    await writer.drain()
+    line = await reader.readline()
+    writer.close()
+    await writer.wait_closed()
+    return line.decode()
+"""
 
 
 def run_fresh(script: str) -> str:
@@ -85,3 +121,51 @@ def test_lazy_exports_resolve_to_their_defining_objects(package):
     for key in ("unresolved", "unlisted", "unstarred", "foreign"):
         assert report[key] == [], key
     assert "no_such_export" in report.get("unknown", "")
+
+
+def test_router_serves_without_numpy_and_calibrates_like_one_process():
+    """The router decodes requests, peeks replies and records calibration
+    evidence on the stdlib alone; only its first ``calibrate`` may load
+    the τ model.  Its one reply is byte-identical to a single-process
+    server's after the same traffic, retried round included."""
+    report = json.loads(
+        run_fresh(
+            CALIBRATION_TRAFFIC
+            + "import json, sys\n"
+            "from repro.service.shard import ShardedAuthServer\n"
+            "async def main():\n"
+            "    async with ShardedAuthServer(2) as front:\n"
+            "        server = await front.serve('127.0.0.1', 0)\n"
+            "        port = server.sockets[0].getsockname()[1]\n"
+            "        await serve_traffic(port)\n"
+            "        loaded = sorted(m for m in sys.modules\n"
+            "            if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "        line = await calibrate_line(port)\n"
+            "        server.close()\n"
+            "        await server.wait_closed()\n"
+            "    return {'loaded': loaded, 'line': line}\n"
+            "print(json.dumps(asyncio.run(main())))\n"
+        )
+    )
+    assert report["loaded"] == []
+
+    from repro.service import AuthService
+
+    traffic: dict = {}
+    exec(CALIBRATION_TRAFFIC, traffic)
+
+    async def single_process() -> str:
+        async with AuthService() as service:
+            server = await service.serve("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            await traffic["serve_traffic"](port)
+            line = await traffic["calibrate_line"](port)
+            server.close()
+            await server.wait_closed()
+        return line
+
+    expected = asyncio.run(single_process())
+    assert report["line"] == expected
+    reply = json.loads(expected)
+    assert (reply["shard"], reply["shards"]) == (0, 1)
+    assert (reply["samples"], reply["source"]) == (8, "measured")

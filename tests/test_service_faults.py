@@ -10,8 +10,9 @@ the two safety contracts:
   stream;
 * **retry idempotency** — a retry of the same request id yields
   decisions *byte-identical* to the unfaulted run (determinism in
-  ``(session, trial)`` plus pinned routing), so the granted set under
-  any fault schedule is a subset of the unfaulted run's.
+  ``(session, trial)``, whichever worker serves the retry), so the
+  granted set under any fault schedule is a subset of the unfaulted
+  run's, and a retried round counts once in ``calibrate``.
 
 The worker SIGKILL → supervised respawn test also exercises the
 router's frame handling — malformed JSON, oversized lines — so that
@@ -379,15 +380,18 @@ def _frame_fault_recovery(mode: str, frame_index: int):
                     rounds=2,
                     threshold_m=2.0,
                 )
+                calibration = await client.calibrate(ENV)
             server.close()
             await server.wait_closed()
-            return served
+            return served, calibration
 
-    served = run_async(go())
+    served, calibration = run_async(go())
     assert served.attempts >= 2
     assert served.complete is not None and len(served.rounds) == 2
     for decision, outcome in zip(served.rounds, expected):
         assert_matches_outcome(decision, outcome)
+    # Both attempts streamed the same rounds; each counts once.
+    assert calibration.samples == sum(o.ok for o in expected) == 2
 
 
 def test_dropped_terminal_frame_recovers_via_attempt_timeout():
@@ -570,14 +574,25 @@ def test_interleaved_replies_on_one_multiplexed_connection():
 # ----------------------------------------------------------------------
 
 
+async def wait_for(predicate, timeout_s: float = 60.0) -> None:
+    """Poll ``predicate`` until it holds; fail after ``timeout_s``."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while not predicate():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.02)
+
+
 def test_worker_kill_respawn_and_retry_byte_identical():
     """The full self-healing loop, plus router frame handling, in one
     worker-spawning test (spawns are expensive on this substrate)."""
     distance, seed = 0.8, SEED
     request = ranging_request(distance_m=distance, seed=seed, rounds=2)
     target = shard_for_session(session_key(request), 2)
+    # An idle tier routes to the home shard: the first request completes
+    # there, the second (the same rounds again) is killed with it.
     plan = FaultPlan(
-        kill_workers=(KillWorker(shard=target, after_requests=1),)
+        kill_workers=(KillWorker(shard=target, after_requests=2),)
     )
     expected = engine_outcomes(distance, 2, seed=seed)
 
@@ -600,10 +615,18 @@ def test_worker_kill_respawn_and_retry_byte_identical():
             assert reply["code"] == "bad-request"
             assert "line length" in reply["message"]
 
+            fields = dict(
+                environment=ENV,
+                distance_m=distance,
+                seed=seed,
+                rounds=2,
+                threshold_m=2.0,
+            )
             async with await AuthClient.connect("127.0.0.1", port) as client:
-                # The first forward SIGKILLs the target worker, so this
-                # needs the whole healing loop: attributed unavailable
-                # error -> backoff -> respawned worker -> clean rerun.
+                first = await client.authenticate(**fields)
+                # The second forward SIGKILLs the target worker, so this
+                # needs the healing loop: attributed unavailable error ->
+                # backoff -> a retry on the live shard -> clean rerun.
                 served = await client.authenticate(
                     retry=RetryPolicy(
                         attempts=6,
@@ -611,23 +634,30 @@ def test_worker_kill_respawn_and_retry_byte_identical():
                         max_backoff_s=2.0,
                         attempt_timeout_s=30.0,
                     ),
-                    environment=ENV,
-                    distance_m=distance,
-                    seed=seed,
-                    rounds=2,
-                    threshold_m=2.0,
+                    **fields,
                 )
+                owed = front.owed_rounds
+                calibration = await client.calibrate(ENV)
+            # Nothing waits for the dead slot any more; the supervisor
+            # still brings it back.
+            await wait_for(lambda: front.total_respawns >= 1)
             respawns = front.total_respawns
             server.close()
             await server.wait_closed()
-            return served, respawns
+            return first, served, owed, calibration, respawns
 
-    served, respawns = run_async(go())
+    first, served, owed, calibration, respawns = run_async(go())
     assert respawns == 1
     assert served.attempts >= 2
-    assert served.complete is not None and len(served.rounds) == 2
-    for decision, outcome in zip(served.rounds, expected):
-        assert_matches_outcome(decision, outcome)
+    assert owed == (0, 0)
+    for result in (first, served):
+        assert result.complete is not None and len(result.rounds) == 2
+        for decision, outcome in zip(result.rounds, expected):
+            assert_matches_outcome(decision, outcome)
+    # The router calibrates once for the tier, and the rounds served
+    # again after the kill count once.
+    assert (calibration.shard, calibration.shards) == (0, 1)
+    assert calibration.samples == sum(o.ok for o in expected) == 2
 
 
 def test_router_handlers_survive_gc_after_the_client_hangs_up():

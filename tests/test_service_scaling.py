@@ -5,8 +5,9 @@ Covers the scaling contracts of ``docs/service.md``:
 * **bit-identity at any worker count** — decisions served through the
   sharded front tier at ``--workers`` 1/2/4 are bit-identical to
   ``run_cell_spec``;
-* **routing stability** — one session's requests always land on one
-  shard, under any request framing, in any process;
+* **least-owed routing** — a request goes to the live shard owing the
+  fewest rounds, ties to the session's stable home shard, and the owed
+  counts settle to zero however requests end;
 * **backpressure** — a saturated DSP lane surfaces as a ``busy`` error;
 * **graceful shutdown** — draining finishes in-flight streams while new
   requests get ``busy``, both in-process and through a worker SIGTERM;
@@ -28,6 +29,8 @@ from repro.eval.engine import TrialSpec, run_cell_spec
 from repro.service import (
     AuthClient,
     AuthService,
+    DelayBatch,
+    FaultPlan,
     RangingRequest,
     RequestComplete,
     RoundDecision,
@@ -37,6 +40,7 @@ from repro.service import (
     shard_for_session,
 )
 from repro.service.loadgen import run_loadgen
+from repro.service.protocol import encode_message
 
 ENV = "quiet_lab"
 SEED = 3
@@ -78,9 +82,9 @@ def test_session_key_ignores_request_framing():
 
 
 def test_shard_routing_is_stable_and_covers_all_shards():
-    # Golden values: the routing hash is part of the deployment contract
-    # (a restarted router must route exactly as the old one did), so an
-    # accidental hash change must fail loudly here.
+    # Golden values: the home-shard hash breaks routing ties, so an idle
+    # tier routes exactly as before a restart; an accidental hash change
+    # must fail loudly here.
     assert [shard_for_session("office|1.0|0", n) for n in (1, 2, 4)] == [0, 1, 3]
     assert [shard_for_session("quiet_lab|0.8|3", n) for n in (1, 2, 4)] == [0, 0, 0]
     assert [shard_for_session("home|1.5|7", n) for n in (1, 2, 4)] == [0, 1, 1]
@@ -103,6 +107,92 @@ def test_shard_routing_is_stable_and_covers_all_shards():
         assert seen == set(range(shards))
     with pytest.raises(ValueError):
         shard_for_session("x", 0)
+
+
+async def wait_for(predicate, timeout_s: float = 30.0) -> None:
+    """Poll ``predicate`` until it holds; fail after ``timeout_s``."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while not predicate():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
+def test_held_shard_sends_the_next_request_to_the_idle_one():
+    """While the home shard's batch is held, it owes rounds and the idle
+    shard does not, so a request homed there goes to the idle shard.
+    Owed rounds settle to zero after completion and after a client
+    hangs up mid-request."""
+    held = RangingRequest(
+        request_id="held", environment=ENV, distance_m=0.8, seed=SEED
+    )
+    home = shard_for_session(session_key(held), 2)
+    # Another session with the same home shard.
+    seed = next(
+        seed
+        for seed in range(SEED + 1, SEED + 64)
+        if shard_for_session(f"{ENV}|1.2|{seed}", 2) == home
+    )
+    plan = FaultPlan(delay_batches=(DelayBatch(0, 1000.0),))
+
+    async def go():
+        async with ShardedAuthServer(2, fault_plan=plan) as front:
+            server = await front.serve("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with await AuthClient.connect("127.0.0.1", port) as client:
+                first = asyncio.get_running_loop().create_task(
+                    client.authenticate(
+                        environment=ENV,
+                        distance_m=0.8,
+                        seed=SEED,
+                        rounds=2,
+                        threshold_m=2.0,
+                    )
+                )
+                await wait_for(lambda: front.owed_rounds[home] == 2)
+                assert sum(front.owed_rounds) == 2
+                await client.authenticate(
+                    environment=ENV,
+                    distance_m=1.2,
+                    seed=seed,
+                    rounds=1,
+                    threshold_m=2.0,
+                )
+                await first
+                completed = front.owed_rounds
+                stats = await client.stats()
+
+                # Hang up with a request in flight: its rounds stay owed
+                # until the worker answers, then settle.
+                _, writer = await asyncio.open_connection("127.0.0.1", port)
+                request = RangingRequest(
+                    request_id="hang-up",
+                    environment=ENV,
+                    distance_m=0.8,
+                    seed=SEED,
+                    first_trial=2,
+                    threshold_m=2.0,
+                )
+                writer.write((encode_message(request) + "\n").encode())
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+                for _ in range(1500):
+                    replies = await client.stats()
+                    if sum(reply.rounds for reply in replies) == 4:
+                        break
+                    await asyncio.sleep(0.02)
+                else:
+                    pytest.fail("the hung-up request never ran")
+                await wait_for(lambda: front.owed_rounds == (0, 0))
+            server.close()
+            await server.wait_closed()
+            return completed, stats
+
+    completed, stats = run_async(go())
+    assert completed == (0, 0)
+    rounds = {reply.shard: reply.rounds for reply in stats}
+    assert rounds == {home: 2, 1 - home: 1}
 
 
 # ----------------------------------------------------------------------

@@ -7,18 +7,23 @@ Runs the same request mix twice through a two-worker
    per session;
 2. **faulted** — a :class:`~repro.service.FaultPlan` SIGKILLs one worker
    after its third routed request while concurrent clients are mid-load,
-   and every client carries a :class:`~repro.service.RetryPolicy`.
+   and every client carries a :class:`~repro.service.RetryPolicy`.  The
+   router sends the retries to the live worker; once the supervisor has
+   respawned the killed one, the same mix runs again on the healed
+   tier.
 
 The smoke then asserts the self-healing contract of
 ``docs/service.md#fault-tolerance``:
 
-* the supervisor respawned the killed worker (``total_respawns >= 1``);
+* the supervisor respawned the killed worker (``total_respawns >= 1``)
+  and the respawned worker served rounds;
 * **zero hung requests** — every request reached a terminal reply
   within a hard wall-clock budget (in-flight requests on the dead shard
   got structured retriable errors, not silence);
-* every completed decision is **byte-identical** to the unfaulted run,
-  so the granted set under the fault schedule equals (and is therefore
-  a subset of) the unfaulted one.
+* every completed decision, before and after the respawn, is
+  **byte-identical** to the unfaulted run, so the granted set under the
+  fault schedule equals (and is therefore a subset of) the unfaulted
+  one.
 
 Run with ``PYTHONPATH=src python tools/chaos_smoke.py``.
 """
@@ -51,9 +56,9 @@ HANG_BUDGET_S = 120.0
 def request_mix(sessions: int, repeats: int) -> list[RangingRequest]:
     """``sessions`` distinct cells, each requested ``repeats`` times.
 
-    Repeats matter: they guarantee traffic lands on the killed shard
-    both *before* the kill (to trigger it) and *after* (to exercise the
-    respawned worker), whatever the session→shard hash happens to be.
+    Repeats matter: requests on the same session are answered by
+    whichever worker owes the fewest rounds, and every answer must carry
+    the same bits.
     """
     requests = []
     for repeat in range(repeats):
@@ -137,7 +142,11 @@ async def serve_and_run(
     requests: list[RangingRequest],
     retry: RetryPolicy | None,
     connections: int,
-) -> tuple[dict[str, tuple], int]:
+) -> tuple[dict[str, tuple], int, list[int]]:
+    """Serve ``requests``; with a fault plan, serve them again once the
+    killed worker is back.  Returns session → bits (both passes must
+    agree), the respawn count and, per shard, the rounds its current
+    worker served."""
     front = ShardedAuthServer(
         WORKERS,
         fault_plan=fault_plan,
@@ -147,13 +156,42 @@ async def serve_and_run(
     async with front:
         server = await front.serve("127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        results = await asyncio.wait_for(
-            run_requests(port, requests, retry, connections), HANG_BUDGET_S
-        )
+
+        async def run_all() -> dict[str, tuple]:
+            results = await run_requests(port, requests, retry, connections)
+            if fault_plan is None:
+                return results
+            # The router stops sending work to the dead slot, so the mix
+            # can finish before the respawn does: wait for it, then run
+            # the mix on the healed tier.
+            while front.total_respawns < 1:
+                await asyncio.sleep(0.05)
+            healed = await run_requests(port, requests, retry, connections)
+            for key, bits in healed.items():
+                if results.setdefault(key, bits) != bits:
+                    raise AssertionError(
+                        f"session {key} answered differently after the "
+                        f"respawn: {results[key]} != {bits}"
+                    )
+            return results
+
+        results = await asyncio.wait_for(run_all(), HANG_BUDGET_S)
         respawns = front.total_respawns
+        async with await AuthClient.connect("127.0.0.1", port) as client:
+            served = [reply.rounds for reply in await client.stats()]
+        # Every request ended, so every owed round must settle, however
+        # its request ended (completed, killed, retried elsewhere).
+        for _ in range(100):
+            if not any(front.owed_rounds):
+                break
+            await asyncio.sleep(0.05)
+        else:
+            raise AssertionError(
+                f"owed rounds never settled: {front.owed_rounds}"
+            )
         server.close()
         await server.wait_closed()
-    return results, respawns
+    return results, respawns, served
 
 
 async def run_smoke(sessions: int, repeats: int, connections: int) -> int:
@@ -173,7 +211,7 @@ async def run_smoke(sessions: int, repeats: int, connections: int) -> int:
         f"chaos smoke: {len(requests)} requests over {sessions} sessions, "
         f"SIGKILL shard {target_shard} after 3 routed requests"
     )
-    baseline, baseline_respawns = await serve_and_run(
+    baseline, baseline_respawns, _ = await serve_and_run(
         None, requests, None, connections
     )
     if baseline_respawns != 0:
@@ -184,7 +222,7 @@ async def run_smoke(sessions: int, repeats: int, connections: int) -> int:
         return 1
 
     try:
-        faulted, respawns = await serve_and_run(
+        faulted, respawns, served = await serve_and_run(
             plan, requests, retry, connections
         )
     except asyncio.TimeoutError:
@@ -197,6 +235,12 @@ async def run_smoke(sessions: int, repeats: int, connections: int) -> int:
 
     if respawns < 1:
         print("FAIL: worker was never respawned", file=sys.stderr)
+        return 1
+    if served[target_shard] == 0:
+        print(
+            f"FAIL: the respawned shard {target_shard} served no rounds",
+            file=sys.stderr,
+        )
         return 1
     if set(faulted) != set(baseline):
         print(
@@ -215,9 +259,10 @@ async def run_smoke(sessions: int, repeats: int, connections: int) -> int:
 
     granted = sum(1 for bits in faulted.values() if bits[1])
     print(
-        f"chaos smoke ok: {respawns} respawn(s), {len(requests)} requests "
-        f"all terminal, {len(baseline)} sessions byte-identical to the "
-        f"unfaulted run ({granted} granted)"
+        f"chaos smoke ok: {respawns} respawn(s), {2 * len(requests)} "
+        f"requests all terminal ({served[target_shard]} rounds on the "
+        f"respawned worker), {len(baseline)} sessions byte-identical to "
+        f"the unfaulted run ({granted} granted)"
     )
     return 0
 

@@ -16,10 +16,11 @@ does not resolve against the actual codebase:
   span that is just a flag (optionally with a metavar, e.g.
   ``--batch N``) must be registered on some parser;
 * **Tool flags** — every ``--flag`` on a ``python tools/<name>.py …``
-  line inside a fenced shell block must be registered on that tool's
-  ``build_parser()`` (the file is loaded by path); a line passing flags
-  to a tool that does not exist or has no ``build_parser()`` is
-  reported too;
+  line inside a fenced shell block, or in an inline code span naming
+  ``tools/<name>.py`` (with or without ``python``), must be registered
+  on that tool's ``build_parser()`` (the file is loaded by path); a
+  reference passing flags to a tool that does not exist or has no
+  ``build_parser()`` is reported too;
 * **Relative links** — every ``[text](path)`` markdown link that is not
   an URL or anchor must point at an existing file.
 
@@ -47,6 +48,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 #: A shell line running one of the repository's tools.
 TOOL_LINE_RE = re.compile(r"\bpython3? (tools/[A-Za-z0-9_]+\.py)(.*)")
+#: An inline code span naming one of the repository's tools.
+INLINE_TOOL_RE = re.compile(r"^(?:python3? )?(tools/[A-Za-z0-9_]+\.py)(.*)")
 #: An inline code span that is exactly one flag, optionally with a
 #: placeholder metavar ("--batch N", "--dsp-backend NAME").
 INLINE_FLAG_RE = re.compile(r"^(--[a-z][a-z0-9-]*)(?:[= ][A-Za-z0-9_./-]+)?$")
@@ -187,11 +190,20 @@ def command_path(
 
 
 def collect_tool_flags(text: str) -> set[tuple[str, str]]:
-    """(tool path, flag) for every flag on a ``python tools/<name>.py`` line."""
+    """(tool path, flag) for every flag passed to a ``tools/<name>.py``.
+
+    Fenced shell lines must run the tool with ``python``; an inline code
+    span may name it bare (``tools/loadgen.py --retries 2``).
+    """
     found: set[tuple[str, str]] = set()
-    _, code = split_markdown(text)
-    for line in join_continuations(code):
-        match = TOOL_LINE_RE.search(line)
+    prose, code = split_markdown(text)
+    matches = [TOOL_LINE_RE.search(line) for line in join_continuations(code)]
+    for line in prose:
+        matches.extend(
+            INLINE_TOOL_RE.match(span.strip())
+            for span in INLINE_CODE_RE.findall(line)
+        )
+    for match in matches:
         if match:
             tool, tail = match.groups()
             found.update((tool, flag) for flag in FLAG_RE.findall(tail))
