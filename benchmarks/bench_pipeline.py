@@ -13,11 +13,19 @@ environments × four distances) for
   (current ``--batch N``).
 
 All variants under the default DSP backend produce bit-identical outcomes
-(asserted here as well); only the wall clock may differ.  The document
-additionally records a per-stage wall-clock split of the ``batched_16``
-run (RNG-bound prepare, stacked render, stacked detect, decide), a
+(asserted here as well); only the wall clock may differ.  The variants
+run with this process's DSP lanes (``repro.dsp.lanes``: one per CPU).
+The document additionally records a per-stage wall-clock split of the
+``batched_16`` run (RNG-bound prepare, render, detect, decide), a
 per-DSP-backend ``batched_16`` row for every registered backend (with
-whether its outcomes equal the numpy run's).  Served throughput and
+whether its outcomes equal the numpy run's).
+
+A **lanes** section times one round at a time (``RangingSession.run``)
+at 1 and 2 DSP lanes, in interleaved blocks over the same rounds, after
+keeping every CPU busy for :data:`WARMUP_S` seconds (a second vCPU can
+run at about half speed for its first second after idling, which would
+bias whichever lane count ran first), and records p50/p95 latency per
+lane count with the host's ``cpus``.  Served throughput and
 latency are measured by the benchmark contract instead (``perfbench/``,
 workloads ``serve-light`` and ``serve-hot``).
 
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 from pathlib import Path
@@ -53,11 +62,23 @@ from repro.dsp.backend import (
     create_backend,
     use_backend,
 )
-from repro.eval.engine import AUTH, VOUCH, TrialSpec, build_pair_world
+from repro.dsp.lanes import lane_count, share_cpus
+from repro.eval.engine import (
+    AUTH,
+    VOUCH,
+    TrialSpec,
+    build_pair_world,
+    build_trial_session,
+)
 from repro.sim.pipeline import BatchedSessionRunner, run_monolithic
 
 _DISTANCES = (0.5, 1.0, 1.5, 2.0)
 BATCH_SIZES = (1, 8, 16, 32)
+#: Lane counts the lanes section compares, and its interleaved blocks.
+LANE_COUNTS = (1, 2)
+LANE_BLOCKS = 4
+#: Seconds every CPU spins before multi-core timing starts.
+WARMUP_S = 2.0
 
 
 def _fig1_specs(trials: int) -> list[TrialSpec]:
@@ -144,6 +165,86 @@ def _measure_stages(specs) -> dict:
         if total
         else {},
     }
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def warm_cpus(seconds: float = WARMUP_S) -> None:
+    """Keep every CPU of this process busy for ``seconds``.
+
+    A host whose idle vCPUs clock down runs a freshly woken one at a
+    fraction of its speed for up to a second, so multi-core timings
+    start only after every CPU has worked for a while.
+    """
+    import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
+
+    batch = np.random.default_rng(0).normal(size=(240, 4096))
+
+    def spin(_):
+        end = perf_counter() + seconds
+        while perf_counter() < end:
+            np.fft.rfft(batch)
+
+    with ThreadPoolExecutor(_cpus()) as pool:
+        list(pool.map(spin, range(_cpus())))
+
+
+def _percentile(values: list[float], fraction: float) -> float:
+    """Nearest-rank percentile."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
+
+
+def _measure_lanes(specs) -> dict:
+    """One-round latency at each of :data:`LANE_COUNTS` DSP lanes.
+
+    The lane count is set the way a tier sets it, by declaring how many
+    DSP processes share this process's CPUs (``share_cpus``).  Blocks
+    alternate which lane count runs first; every block runs the same
+    rounds at each count, and their outcomes must agree.
+    """
+    rounds = [(spec, trial) for spec in specs for trial in range(spec.n_trials)]
+    latencies: dict[int, list[float]] = {count: [] for count in LANE_COUNTS}
+    lanes_used: dict[int, int] = {}
+    warm_cpus()
+    try:
+        for block in range(LANE_BLOCKS):
+            order = LANE_COUNTS if block % 2 == 0 else LANE_COUNTS[::-1]
+            outcomes = []
+            for count in order:
+                share_cpus(max(1, _cpus() // count))
+                lanes_used[count] = lane_count()
+                block_outcomes = []
+                for spec, trial in rounds:
+                    session = build_trial_session(spec, trial)
+                    start = perf_counter()
+                    block_outcomes.append(session.run())
+                    latencies[count].append(1e3 * (perf_counter() - start))
+                outcomes.append(block_outcomes)
+            assert all(other == outcomes[0] for other in outcomes), (
+                "outcomes differ between lane counts"
+            )
+    finally:
+        share_cpus(1)
+    section = {
+        "cpus": _cpus(),
+        "warmup_s": WARMUP_S,
+        "blocks": LANE_BLOCKS,
+        "rounds_per_block": len(rounds),
+    }
+    for count in LANE_COUNTS:
+        section[f"lanes_{count}"] = {
+            "lanes": lanes_used[count],
+            "rounds": len(latencies[count]),
+            "p50_ms": round(_percentile(latencies[count], 0.50), 2),
+            "p95_ms": round(_percentile(latencies[count], 0.95), 2),
+        }
+    one, most = section[f"lanes_{LANE_COUNTS[0]}"], section[f"lanes_{LANE_COUNTS[-1]}"]
+    section["p50_speedup"] = round(one["p50_ms"] / most["p50_ms"], 2)
+    return section
 
 
 def _measure_roc_sweep(trials: int, seed: int = 0) -> dict:
@@ -251,6 +352,7 @@ def run_benchmark(trials: int = 2, reps: int = 2) -> dict:
             )
         stages = _measure_stages(specs)
         roc_sweep = _measure_roc_sweep(trials)
+        lanes = _measure_lanes(specs)
 
     def _rate(name):
         return results[name]["trials_per_s"]
@@ -274,6 +376,7 @@ def run_benchmark(trials: int = 2, reps: int = 2) -> dict:
             specs, staged, reps, results["batched_16"]
         ),
         "roc_sweep": roc_sweep,
+        "lanes": lanes,
         "speedups": {
             "staged_vs_pre_refactor": round(
                 _rate("staged_per_session") / _rate("pre_refactor_per_session"), 2
@@ -286,15 +389,17 @@ def run_benchmark(trials: int = 2, reps: int = 2) -> dict:
             ),
         },
         "notes": (
-            "single-process; outcomes bit-identical across all variants "
-            "under the default DSP backend; pre_refactor_per_session swaps "
-            "candidate_powers for the preserved reference implementation; "
-            "stage split: prepare = RNG-bound negotiate/schedule/"
-            "render_noise, render = stacked arrival phase, detect = "
-            "stacked window batches; roc_sweep rows measure the decide "
-            "seam (repro.eval.sweep): a 16-threshold sweep decides every "
-            "threshold off one render set, vs re-rendering the scene "
-            "matrix per threshold"
+            "single-process, one DSP lane per CPU; outcomes bit-identical "
+            "across all variants under the default DSP backend; "
+            "pre_refactor_per_session swaps candidate_powers for the "
+            "preserved reference implementation; stage split: prepare = "
+            "RNG-bound negotiate/schedule/render_noise, render = arrival "
+            "phase, detect = window scans, both one capture per lane; "
+            "roc_sweep rows measure the decide seam (repro.eval.sweep): a "
+            "16-threshold sweep decides every threshold off one render "
+            "set, vs re-rendering the scene matrix per threshold; lanes "
+            "times one round at a time at 1 and 2 lanes, interleaved, "
+            "after warming every CPU"
         ),
     }
 
@@ -309,6 +414,7 @@ def test_pipeline_throughput(benchmark, quick):
     print(json.dumps(document["results"], indent=2))
     print("speedups:", document["speedups"])
     print("roc_sweep:", json.dumps(document["roc_sweep"], indent=2))
+    print("lanes:", json.dumps(document["lanes"], indent=2))
     assert document["speedups"]["batched_16_vs_pre_refactor"] > 1.0
     roc = document["roc_sweep"]
     assert roc["zero_extra_renders_vs_t1"], (

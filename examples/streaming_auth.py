@@ -12,8 +12,8 @@ authentication requests **concurrently** over the single connection:
 
 Per-round ranging decisions stream back as soon as each round's DSP
 completes; because the requests are in flight together, the service
-coalesces their rounds into shared stacked FFT passes (watch the
-``rounds_per_batch`` stat at the end).
+coalesces their rounds into shared DSP passes, each capture on a DSP
+lane (watch the ``rounds_per_batch`` stat at the end).
 
 Run with::
 
@@ -84,8 +84,8 @@ async def run(rounds: int) -> None:
 
         stats = service.scheduler.stats
         print(
-            f"\nscheduler: {stats.rounds} rounds in {stats.batches} stacked "
-            f"DSP batches ({stats.rounds_per_batch:.1f} rounds/batch, "
+            f"\nscheduler: {stats.rounds} rounds in {stats.batches} "
+            f"DSP passes ({stats.rounds_per_batch:.1f} rounds/batch, "
             f"largest {stats.largest_batch})"
         )
         server.close()

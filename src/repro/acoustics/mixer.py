@@ -25,19 +25,18 @@ A capture renders in two phases with a data boundary between them:
   session RNG in exactly the order the one-shot ``render`` loop always
   drew (noise → self-noise → per-playback channel draws, skipping pairs
   whose end-to-end amplitude is negligible);
-* :func:`render_capture_jobs` — the **arrival phase**: pure deterministic
-  math (convolve × amplitude → clock-skew warp → placement → quantize)
-  over the planned arrivals, routed through the active
-  :mod:`repro.dsp.backend` kernels.
+* :func:`render_capture` — the **arrival phase**: pure deterministic
+  math (noise shaping, then convolve × amplitude → clock-skew warp →
+  placement → quantize per arrival) over one planned capture, routed
+  through the active :mod:`repro.dsp.backend` kernels.
 
-Because the arrival phase is RNG-free and per-arrival independent, the
-batched pipeline hands the capture jobs of *all* sessions of a batch to
-one :func:`render_capture_jobs` call, which stacks equal-shape
-(waveform, taps) pairs into batched convolutions.  ``render`` itself is
-the two phases composed for a single capture — so the serial, staged, and
-batched paths run the very same kernel calls per arrival and produce
-bit-identical buffers by construction (accumulation into the capture
-buffer always happens in playback order, per capture).
+Because the arrival phase is RNG-free and reads nothing outside its own
+job, the pipeline renders the captures of a batch independently, on the
+process's DSP lanes (:func:`repro.sim.pipeline.render_arrivals`).
+``render`` itself is the two phases composed for a single capture — so
+the serial, staged, and batched paths run the very same kernel calls
+per capture and produce bit-identical buffers by construction
+(accumulation into the capture buffer always happens in playback order).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ __all__ = [
     "PlannedArrival",
     "CaptureJob",
     "AcousticMixer",
-    "render_capture_jobs",
+    "render_capture",
 ]
 
 
@@ -131,8 +130,7 @@ class CaptureJob:
     Everything random is already drawn (environment-noise buffers,
     microphone self-noise, channel taps inside the arrivals); the noise
     *shaping* — the Butterworth coloring of the white draw — is deferred
-    to the arrival phase so a batch can run it as one stacked filter pass
-    over every capture.
+    to the arrival phase, which is deterministic and runs on a DSP lane.
     """
 
     n_samples: int
@@ -244,10 +242,10 @@ class AcousticMixer:
 
         Returns ``n_samples`` of quantized 16-bit-valued float samples in
         the sink device's own clock/sample grid.  Equivalent to the RNG
-        phase plus a one-job arrival phase — the same kernels the batched
-        pipeline runs, at B = 1.
+        phase plus the arrival phase — the same kernels the batched
+        pipeline runs per capture.
         """
-        return render_capture_jobs([self.plan_capture(request, playbacks)])[0]
+        return render_capture(self.plan_capture(request, playbacks))
 
     @staticmethod
     def _add_at(buffer: np.ndarray, signal: np.ndarray, start: int) -> None:
@@ -260,105 +258,22 @@ class AcousticMixer:
         buffer[lo:hi] += signal[lo - start : hi - start]
 
 
-def _realized_arrival_signals(
-    jobs: list[CaptureJob],
-) -> dict[tuple[int, int], np.ndarray]:
-    """Convolved (pre-skew) arrival signals for every job, batched.
+def render_capture(job: CaptureJob) -> np.ndarray:
+    """The arrival phase: finalize one planned capture into samples.
 
-    Equal-shape (waveform, taps) pairs across *all* jobs are stacked into
-    one batched-convolution kernel call; remaining singletons use the
-    scalar kernel.  Keyed by ``(job_index, arrival_index)``.  The default
-    backend's batched kernel is row-wise ``np.convolve``, so grouping is
-    purely a dispatch decision and never changes a value.
+    Deterministic given the job (no RNG): noise shaping, then per
+    arrival convolution, amplitude scaling, clock-skew warping, and
+    placement — strictly in the job's arrival (= playback) order, so the
+    floating-point accumulation into the capture buffer matches the
+    serial loop bit for bit.  Noise beds mix in the historical order
+    (colored → broadband → self-noise).
     """
     backend = get_backend()
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for job_index, job in enumerate(jobs):
-        for arrival_index, arrival in enumerate(job.arrivals):
-            shape = (arrival.waveform.shape[0], arrival.taps.shape[0])
-            groups.setdefault(shape, []).append((job_index, arrival_index))
-
-    signals: dict[tuple[int, int], np.ndarray] = {}
-    for members in groups.values():
-        if len(members) == 1:
-            job_index, arrival_index = members[0]
-            arrival = jobs[job_index].arrivals[arrival_index]
-            signals[members[0]] = backend.convolve(
-                arrival.waveform, arrival.taps
-            )
-            continue
-        stacked_waveforms = np.stack(
-            [jobs[j].arrivals[a].waveform for j, a in members]
-        )
-        stacked_taps = np.stack([jobs[j].arrivals[a].taps for j, a in members])
-        convolved = backend.convolve_batch(stacked_waveforms, stacked_taps)
-        for row, key in enumerate(members):
-            signals[key] = convolved[row]
-    return signals
-
-
-def _shaped_noise_buffers(jobs: list[CaptureJob]) -> list[np.ndarray]:
-    """Noise beds for every job, with the coloring filter batched.
-
-    White draws that share a filter design and length are stacked into
-    one :meth:`~repro.dsp.backend.DSPBackend.sosfilt` call (the filter
-    state is per row, so a stacked pass filters each row exactly as a
-    solo pass would); singletons filter alone, which is literally the
-    historical call.  Scaling/mixing then runs per job in the historical
-    order (colored → broadband → self-noise).
-    """
-    backend = get_backend()
-    groups: dict[tuple, list[int]] = {}
-    for index, job in enumerate(jobs):
-        if job.noise.white is not None:
-            model = job.noise.model
-            key = (
-                model.filter_order,
-                model.low_freq_cutoff_hz,
-                job.noise.sample_rate,
-                job.noise.n_samples,
-            )
-            groups.setdefault(key, []).append(index)
-
-    colored: dict[int, np.ndarray] = {}
-    for members in groups.values():
-        sos = jobs[members[0]].noise.model.sos(jobs[members[0]].noise.sample_rate)
-        if len(members) == 1:
-            index = members[0]
-            colored[index] = backend.sosfilt(sos, jobs[index].noise.white)
-        else:
-            stacked = backend.sosfilt(
-                sos, np.stack([jobs[i].noise.white for i in members])
-            )
-            for row, index in enumerate(members):
-                colored[index] = stacked[row]
-
-    buffers: list[np.ndarray] = []
-    for index, job in enumerate(jobs):
-        buffer = job.noise.model.shape(job.noise, colored.get(index))
-        buffer += job.self_noise
-        buffers.append(buffer)
-    return buffers
-
-
-def render_capture_jobs(jobs: list[CaptureJob]) -> list[np.ndarray]:
-    """The arrival phase: finalize planned captures into sample buffers.
-
-    Deterministic given the jobs (no RNG): noise shaping (filter passes
-    stacked across jobs), convolution (stacked across jobs where shapes
-    agree), amplitude scaling, clock-skew warping, and placement — the
-    latter strictly in each job's arrival (= playback) order, so the
-    floating-point accumulation into every capture buffer matches the
-    serial loop bit for bit.
-    """
-    buffers = _shaped_noise_buffers(jobs)
-    signals = _realized_arrival_signals(jobs)
-    recordings: list[np.ndarray] = []
-    for job_index, (job, buffer) in enumerate(zip(jobs, buffers)):
-        for arrival_index, arrival in enumerate(job.arrivals):
-            received = signals[(job_index, arrival_index)] * arrival.amplitude
-            if arrival.relative_ppm:
-                received = apply_clock_skew(received, arrival.relative_ppm)
-            AcousticMixer._add_at(buffer, received, arrival.start_index)
-        recordings.append(quantize_pcm16(buffer))
-    return recordings
+    buffer = job.noise.model.shape(job.noise)
+    buffer += job.self_noise
+    for arrival in job.arrivals:
+        received = backend.convolve(arrival.waveform, arrival.taps) * arrival.amplitude
+        if arrival.relative_ppm:
+            received = apply_clock_skew(received, arrival.relative_ppm)
+        AcousticMixer._add_at(buffer, received, arrival.start_index)
+    return quantize_pcm16(buffer)

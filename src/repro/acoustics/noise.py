@@ -84,8 +84,8 @@ class NoiseModel:
         only when its std is positive), but defers the deterministic
         shaping — the Butterworth coloring and scaling — to
         :meth:`shape`.  The split lets a batch renderer run every
-        capture's RNG draws in per-trial stream order and then shape all
-        the white buffers in one stacked filter pass.
+        capture's RNG draws in per-trial stream order and then shape
+        each capture's buffers on a DSP lane.
         """
         if n_samples < 0:
             raise ValueError("n_samples must be non-negative")
@@ -108,23 +108,17 @@ class NoiseModel:
             broadband=broadband,
         )
 
-    def shape(
-        self, draw: "NoiseDraw", colored: np.ndarray | None = None
-    ) -> np.ndarray:
+    def shape(self, draw: "NoiseDraw") -> np.ndarray:
         """The deterministic half: color, scale, and mix one draw.
 
-        ``colored`` optionally supplies the already-filtered white buffer
-        (one row of a stacked :meth:`repro.dsp.backend.DSPBackend
-        .sosfilt` pass); when omitted the filter runs here.  Either way
-        the arithmetic and accumulation order match the historical
+        The arithmetic and accumulation order match the historical
         one-shot ``sample`` exactly.
         """
         if draw.n_samples == 0:
             return np.zeros(0)
         buffer = np.zeros(draw.n_samples, dtype=np.float64)
         if draw.white is not None:
-            if colored is None:
-                colored = get_backend().sosfilt(self.sos(draw.sample_rate), draw.white)
+            colored = get_backend().sosfilt(self.sos(draw.sample_rate), draw.white)
             scale = float(np.std(colored))
             if scale > 0:
                 buffer += colored * (self.low_freq_std / scale)
@@ -172,7 +166,7 @@ class NoiseDraw:
     (None when the model has no low-frequency component or the draw is
     empty); ``broadband`` is the already-scaled white floor (None
     likewise).  Shaping a draw is deterministic, so draws can cross a
-    stage boundary and be filtered in stacked batches.
+    stage boundary and be filtered off the RNG path.
     """
 
     model: NoiseModel

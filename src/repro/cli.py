@@ -74,9 +74,9 @@ def _add_engine_options(
         default=None,
         metavar="N",
         help=(
-            "sessions per stacked DSP pass inside each cell (default: "
-            "auto; 1 = per-session execution). Results are identical "
-            "for any value."
+            "sessions run stage by stage together inside each cell "
+            "(default: auto; 1 = per-session execution). Results are "
+            "identical for any value."
         ),
     )
     if cache_dir:
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "trials per stacked detection pass (default: auto). Replayed "
+            "trials detected together per pass (default: auto). Replayed "
             "decisions are identical for any value."
         ),
     )
@@ -335,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Start the asyncio authentication service (repro.service): "
             "JSON-lines requests in, per-round ranging decisions "
-            "streamed back, concurrent requests coalesced into stacked "
-            "DSP batches.  See docs/service.md."
+            "streamed back, concurrent requests coalesced into shared "
+            "DSP passes.  See docs/service.md."
         ),
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "max rounds per stacked DSP pass (default: auto; 1 = "
+            "max rounds coalesced into one DSP pass (default: auto; 1 = "
             "per-round DSP). Decisions are identical for any value."
         ),
     )
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help=(
-            "fail a stacked DSP pass that exceeds this budget closed "
+            "fail a DSP pass that exceeds this budget closed "
             "(its rounds answer a retriable timeout error and the "
             "executor is marked suspect); default: no timeout"
         ),

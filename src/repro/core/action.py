@@ -15,7 +15,6 @@ the unit tests feed synthetic recordings straight into :meth:`observe` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -86,12 +85,34 @@ class ActionRanging:
         remote signal can never legitimately sit there, while the loud own
         signal could otherwise capture the scan whenever the two random
         frequency subsets overlap heavily.
+
+        Both scans share one coarse pass over the recording: the result
+        equals two :meth:`~repro.core.detection.FrequencyDetector.detect`
+        calls (own, then remote with the own zone masked), each of which
+        would compute the very same coarse matrix.
         """
-        own_result = self.detector.detect(recording, [own], ["own"])[0]
-        zones = self._own_exclusion_zones(own_result)
-        remote_result = self.detector.detect(
-            recording, [remote], ["remote"], exclusion_zones=[zones]
-        )[0]
+        detector = self.detector
+        recording = np.asarray(recording, dtype=np.float64)
+        own_hyp = SignalHypothesis.from_reference(own, self.plan, "own")
+        remote_hyp = SignalHypothesis.from_reference(remote, self.plan, "remote")
+        coarse_starts = detector.coarse_starts(recording.shape[0])
+        if coarse_starts.size == 0:
+            return DeviceObservation(
+                own=detector.empty_result(own_hyp),
+                remote=detector.empty_result(remote_hyp),
+                sample_rate=sample_rate,
+            )
+        coarse_powers = detector.candidate_powers(recording, coarse_starts)
+        own_result = detector.fine_scan(
+            recording, coarse_starts, coarse_powers, own_hyp, []
+        )
+        remote_result = detector.fine_scan(
+            recording,
+            coarse_starts,
+            coarse_powers,
+            remote_hyp,
+            self._own_exclusion_zones(own_result),
+        )
         return DeviceObservation(
             own=own_result, remote=remote_result, sample_rate=sample_rate
         )
@@ -105,138 +126,6 @@ class ActionRanging:
         assert own_result.location is not None
         guard = self.config.signal_length + 512
         return [(own_result.location - guard, own_result.location + guard)]
-
-    def observe_batch(
-        self,
-        recordings: np.ndarray,
-        scans: Sequence[tuple[ReferenceSignal, ReferenceSignal, float]],
-    ) -> list[DeviceObservation]:
-        """Step IV for many recordings in stacked FFT passes.
-
-        Parameters
-        ----------
-        recordings:
-            ``(M, n_samples)`` stack of equal-length capture buffers —
-            typically the 2·B recordings of one
-            :class:`~repro.sim.pipeline.BatchedSessionRunner` batch.
-        scans:
-            ``(own, remote, sample_rate)`` per recording, mirroring the
-            arguments of :meth:`observe`.
-
-        Returns
-        -------
-        list[DeviceObservation]
-            Bit-identical to calling :meth:`observe` per recording: the
-            scan phases (:meth:`~repro.core.detection.FrequencyDetector
-            .plan_fine_scan` / ``resolve_fine_scan``) are the same code,
-            the per-window FFT/power arithmetic is row-wise independent,
-            and :meth:`observe`'s second coarse pass over the same
-            recording (for the remote scan) recomputes exactly the matrix
-            reused here.  Instead of 2·M coarse and 2·M fine FFT batches,
-            the whole step runs in one stacked coarse pass and two stacked
-            fine passes (own scans, then remote scans, whose planning
-            depends on the own results).
-        """
-        recordings = np.asarray(recordings, dtype=np.float64)
-        if recordings.ndim != 2:
-            raise ValueError(
-                f"expected a 2-D recording stack, got shape {recordings.shape}"
-            )
-        if recordings.shape[0] != len(scans):
-            raise ValueError(
-                f"{recordings.shape[0]} recordings but {len(scans)} scans"
-            )
-        detector = self.detector
-        n_samples = recordings.shape[1]
-        count = len(scans)
-        coarse_starts = detector.coarse_starts(n_samples)
-
-        own_hyps = [
-            SignalHypothesis.from_reference(own, self.plan, "own")
-            for own, _remote, _rate in scans
-        ]
-        remote_hyps = [
-            SignalHypothesis.from_reference(remote, self.plan, "remote")
-            for _own, remote, _rate in scans
-        ]
-        if coarse_starts.size == 0:
-            return [
-                DeviceObservation(
-                    own=detector.empty_result(own_hyp),
-                    remote=detector.empty_result(remote_hyp),
-                    sample_rate=scan[2],
-                )
-                for own_hyp, remote_hyp, scan in zip(
-                    own_hyps, remote_hyps, scans
-                )
-            ]
-
-        # One stacked coarse pass covers every recording; per-device
-        # observe() computes this matrix once per scan (twice per
-        # recording), always with identical values.
-        coarse_powers = detector.candidate_powers_stacked(
-            recordings, [(i, coarse_starts) for i in range(count)]
-        )
-
-        # Own scans: plan every fine pass, stack their FFT work.
-        own_fine_starts = [
-            detector.plan_fine_scan(
-                coarse_starts, coarse_powers[i], own_hyps[i], [], n_samples
-            )
-            for i in range(count)
-        ]
-        own_fine_powers = detector.candidate_powers_stacked(
-            recordings, list(enumerate(own_fine_starts))
-        )
-        own_results = [
-            detector.resolve_fine_scan(
-                own_fine_starts[i],
-                own_fine_powers[i],
-                own_hyps[i],
-                [],
-                windows_scanned=int(
-                    coarse_starts.size + own_fine_starts[i].size
-                ),
-            )
-            for i in range(count)
-        ]
-
-        # Remote scans: masking depends on each own result, so the
-        # planning happens now — but the FFT work still stacks.
-        zones = [self._own_exclusion_zones(result) for result in own_results]
-        remote_fine_starts = [
-            detector.plan_fine_scan(
-                coarse_starts,
-                coarse_powers[i],
-                remote_hyps[i],
-                zones[i],
-                n_samples,
-            )
-            for i in range(count)
-        ]
-        remote_fine_powers = detector.candidate_powers_stacked(
-            recordings, list(enumerate(remote_fine_starts))
-        )
-        remote_results = [
-            detector.resolve_fine_scan(
-                remote_fine_starts[i],
-                remote_fine_powers[i],
-                remote_hyps[i],
-                zones[i],
-                windows_scanned=int(
-                    coarse_starts.size + remote_fine_starts[i].size
-                ),
-            )
-            for i in range(count)
-        ]
-        return [
-            DeviceObservation(
-                own=own_results[i],
-                remote=remote_results[i],
-                sample_rate=scans[i][2],
-            )
-            for i in range(count)
-        ]
 
     # ------------------------------------------------------------------
     # Step VI — combine the two observations into a distance

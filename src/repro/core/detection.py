@@ -39,13 +39,12 @@ implementation therefore
   bit-compatible numpy reference; the scipy ``workers=`` alternate is
   installed only when asked for by name (see ``docs/pipeline.md``).
 
-The scan logic is split into phases (coarse powers → fine-pass planning →
-resolution) so that :meth:`candidate_powers_stacked` can run the window
-batches of *many* recordings — e.g. every session of a
-:class:`~repro.sim.pipeline.BatchedSessionRunner` batch — in one call while
-reusing the exact same per-window arithmetic.  ``candidate_powers_reference``
-preserves the pre-optimization implementation as an executable
-specification for the equivalence tests and benchmarks.
+The scan logic is split into phases (coarse powers → fine scan per
+hypothesis) so that :meth:`repro.core.action.ActionRanging.observe` can
+compute one recording's coarse pass once and reuse it for both of its
+fine scans.  ``candidate_powers_reference`` preserves the
+pre-optimization implementation as an executable specification for the
+equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -138,15 +137,6 @@ class DetectionResult:
 class FrequencyDetector:
     """The frequency-based detector of §IV-C, for a fixed configuration."""
 
-    #: Ceiling on the windows per FFT dispatch.  ``None`` (the default)
-    #: defers to the active DSP backend's
-    #: :attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows` —
-    #: ``DEFAULT_FFT_CHUNK_WINDOWS`` (512) unless ``REPRO_DSP_CHUNK`` or
-    #: the backend's constructor sets it; set a positive int here to pin
-    #: it for one detector class.  FFT results are row-wise independent,
-    #: so chunking never changes a single output bit.
-    MAX_FFT_WINDOWS: int | None = None
-
     #: Minimum length of a constant-stride start run that is worth
     #: dispatching as a strided slab; shorter runs (and irregular starts)
     #: are batched through the fancy-index gather path instead, so a
@@ -177,11 +167,22 @@ class FrequencyDetector:
             batch, self._rfft_aggregation_bins, self.config.signal_length
         )
 
-    def _chunk_windows(self) -> int:
-        """Effective FFT dispatch ceiling (override or the backend's)."""
-        if self.MAX_FFT_WINDOWS is not None:
-            return self.MAX_FFT_WINDOWS
-        return get_backend().fft_chunk_windows
+    @staticmethod
+    def _chunks(count: int, chunk: int) -> list[tuple[int, int]]:
+        """``(lo, hi)`` dispatch bounds over ``count`` windows.
+
+        At most ``chunk`` windows each, except that a one-window
+        remainder joins the chunk before it.  A one-window batch sums
+        its aggregation bins in a different order than a batch of two or
+        more (the gather ``spectra[:, bins]`` is C-contiguous only for
+        one window, and numpy then sums pairwise), so a split that left
+        one window alone would change that window's power.  A count of
+        one stays one dispatch.
+        """
+        bounds = list(range(0, count, chunk)) + [count]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        return list(zip(bounds[:-1], bounds[1:]))
 
     @staticmethod
     def _regular_runs(starts: np.ndarray) -> list[tuple[int, int, int]]:
@@ -218,10 +219,11 @@ class FrequencyDetector:
         touches exactly the requested windows, with no 2-D gather buffer
         in between.  Leftover irregular starts fall back to the gather
         path.  Both paths are bit-identical (same window contents, same
-        kernel), so the split is purely a scheduling decision.
+        kernel), so the split is purely a scheduling decision; so is the
+        chunking (:meth:`_chunks`), at any ``fft_chunk_windows``.
         """
         length = self.config.signal_length
-        chunk = self._chunk_windows()
+        chunk = get_backend().fft_chunk_windows
         view = np.lib.stride_tricks.sliding_window_view(recording, length)
         out = np.empty(
             (starts.size, self.plan.n_candidates), dtype=np.float64
@@ -232,15 +234,14 @@ class FrequencyDetector:
                 loose.extend(range(offset, offset + count))
                 continue
             first = int(starts[offset])
-            for lo in range(0, count, chunk):
-                hi = min(lo + chunk, count)
+            for lo, hi in self._chunks(count, chunk):
                 begin = first + lo * step
                 slab = view[begin : begin + (hi - lo - 1) * step + 1 : step]
                 out[offset + lo : offset + hi] = self._window_batch_powers(slab)
         if loose:
             order = np.asarray(loose, dtype=np.int64)
-            for lo in range(0, order.size, chunk):
-                sel = order[lo : lo + chunk]
+            for lo, hi in self._chunks(order.size, chunk):
+                sel = order[lo:hi]
                 out[sel] = self._window_batch_powers(view[starts[sel]])
         return out
 
@@ -261,60 +262,6 @@ class FrequencyDetector:
         if starts.min() < 0 or starts.max() + length > recording.shape[0]:
             raise ValueError("window starts out of range for the recording")
         return self._scan_powers(np.ascontiguousarray(recording), starts)
-
-    def candidate_powers_stacked(
-        self,
-        recordings: np.ndarray,
-        jobs: Sequence[tuple[int, np.ndarray]],
-    ) -> list[np.ndarray]:
-        """Window-batch powers for scans drawn from many recordings.
-
-        This is the single seam the batched pipeline (and any future
-        GPU/remote substrate) drives: one call covers the FFT work of
-        every scan of a :class:`~repro.sim.pipeline.BatchedSessionRunner`
-        batch.  Each job's window grid is dispatched through the active
-        DSP backend's strided-slab kernel — an earlier revision flattened
-        all jobs into one absolute-offset gather, but that destroyed the
-        grids' stride regularity and forced an 8 MB/chunk window copy the
-        slab path never pays; per-job dispatch is both faster and what
-        makes batched results equal serial results *by construction*
-        (identical per-scan kernel calls, not merely value-equal ones).
-
-        Parameters
-        ----------
-        recordings:
-            ``(n_recordings, n_samples)`` stack of equal-length recordings.
-        jobs:
-            ``(recording_index, starts)`` pairs; each describes one scan's
-            window batch inside the named recording.
-
-        Returns
-        -------
-        list[numpy.ndarray]
-            One ``(len(starts), N)`` matrix per job, bit-identical to
-            ``candidate_powers(recordings[i], starts)``.
-        """
-        recordings = np.ascontiguousarray(recordings, dtype=np.float64)
-        if recordings.ndim != 2:
-            raise ValueError(
-                f"expected a 2-D recording stack, got shape {recordings.shape}"
-            )
-        n_samples = recordings.shape[1]
-        length = self.config.signal_length
-        results: list[np.ndarray] = []
-        for index, starts in jobs:
-            starts = np.asarray(starts, dtype=np.int64)
-            if not 0 <= index < recordings.shape[0]:
-                raise ValueError(f"recording index {index} out of range")
-            if starts.size == 0:
-                results.append(
-                    np.empty((0, self.plan.n_candidates), dtype=np.float64)
-                )
-                continue
-            if starts.min() < 0 or starts.max() + length > n_samples:
-                raise ValueError("window starts out of range for the recording")
-            results.append(self._scan_powers(recordings[index], starts))
-        return results
 
     def candidate_powers_reference(
         self, recording: np.ndarray, starts: np.ndarray
@@ -435,32 +382,36 @@ class FrequencyDetector:
             return [self.empty_result(hyp) for hyp in hypotheses]
         coarse_powers = self.candidate_powers(recording, coarse_starts)
 
-        results: list[DetectionResult] = []
-        for hypothesis, zones in zip(hypotheses, exclusion_zones):
-            fine_starts = self.plan_fine_scan(
-                coarse_starts,
-                coarse_powers,
-                hypothesis,
-                zones,
-                recording.shape[0],
-            )
-            fine_powers = self.candidate_powers(recording, fine_starts)
-            results.append(
-                self.resolve_fine_scan(
-                    fine_starts,
-                    fine_powers,
-                    hypothesis,
-                    zones,
-                    windows_scanned=int(coarse_starts.size + fine_starts.size),
-                )
-            )
-        return results
+        return [
+            self.fine_scan(recording, coarse_starts, coarse_powers, hyp, zones)
+            for hyp, zones in zip(hypotheses, exclusion_zones)
+        ]
 
     # ------------------------------------------------------------------
-    # Scan phases — detect() composed from reusable pieces so the batched
-    # pipeline can stack the FFT work of many recordings while running the
-    # exact same per-scan logic (bit-identical results by construction).
+    # Scan phases — detect() composed from reusable pieces, so one
+    # recording's coarse pass can serve several fine scans whose zones
+    # depend on each other (ActionRanging.observe).
     # ------------------------------------------------------------------
+
+    def fine_scan(
+        self,
+        recording: np.ndarray,
+        coarse_starts: np.ndarray,
+        coarse_powers: np.ndarray,
+        hypothesis: SignalHypothesis,
+        zones: Sequence[tuple[int, int]],
+    ) -> DetectionResult:
+        """One hypothesis's fine pass and verdict, from a coarse pass."""
+        fine_starts = self.plan_fine_scan(
+            coarse_starts, coarse_powers, hypothesis, zones, recording.shape[0]
+        )
+        return self.resolve_fine_scan(
+            fine_starts,
+            self.candidate_powers(recording, fine_starts),
+            hypothesis,
+            zones,
+            windows_scanned=int(coarse_starts.size + fine_starts.size),
+        )
 
     def coarse_starts(self, total_length: int) -> np.ndarray:
         """Window starts of the coarse localization pass."""

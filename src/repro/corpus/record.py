@@ -3,8 +3,8 @@
 :func:`record_cell_spec` is :func:`~repro.eval.engine.run_cell_spec` with
 capture hooks: it executes the exact same stage calls in the exact same
 order as :class:`~repro.sim.pipeline.BatchedSessionRunner` — per-session
-``negotiate`` / ``schedule`` / ``render_noise``, one stacked
-``render_arrivals``, one stacked detection pass, per-session
+``negotiate`` / ``schedule`` / ``render_noise``, one ``render_arrivals``
+and one ``detect_batch`` over the batch, per-session
 ``exchange_and_decide`` — so the :class:`~repro.eval.engine.CellResult`
 it returns is bit-identical to a live run, and what it writes to the
 corpus is the ground truth replay is later compared against.
@@ -188,7 +188,7 @@ def record_cell_spec(
     returned cell is bit-identical to
     :func:`~repro.eval.engine.run_cell_spec` at the same ``batch_size``
     semantics — and identical across batch sizes, as every execution mode
-    is (the stacked passes are batch-composition-invariant).
+    is (each capture renders and is observed on its own).
     """
     size = batch_size or DEFAULT_BATCH_SIZE
     outcomes: list = [None] * spec.n_trials

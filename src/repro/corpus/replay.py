@@ -14,7 +14,7 @@ trial it:
 3. loads both capture buffers from the payload — ``negotiate`` /
    ``schedule`` / ``render_noise`` / ``render_arrivals`` never run, which
    keeps :func:`repro.sim.pipeline.render_call_counts` untouched;
-4. runs the stacked detection seam
+4. runs the shared detection seam
    (:func:`repro.sim.pipeline.detect_batch` — the very code live batches
    use) and, after restoring the session RNG to the stored post-render
    stream position, the terminal ``exchange_and_decide`` stage.
@@ -99,7 +99,7 @@ class ReplayingSessionRunner:
     corpus:
         The store (or its root path) to replay from.
     batch_size:
-        Trials per stacked detection pass, as everywhere else; replayed
+        Trials detected together per pass, as everywhere else; replayed
         results are bit-identical for every value.
     strict:
         Compare every replayed decision byte-for-byte against the

@@ -20,10 +20,11 @@ Invariants every caller may rely on (and every new backend must honor):
    must stay within 1e-10 relative of the reference
    (``tests/test_dsp_backend.py``).
 4. **Kernels are row-wise independent and stateless** — batching,
-   chunking (``fft_chunk_windows`` / ``REPRO_DSP_CHUNK``), and
-   row-parallel threading (scipy ``workers=``) are dispatch decisions
-   that cannot change any row's bits, which is what makes cross-session
-   batching and the streaming service's shared DSP executor safe.
+   chunking (``fft_chunk_windows`` / ``REPRO_DSP_CHUNK``, never leaving
+   a lone window), and threading (scipy ``workers=``, the DSP lanes of
+   :mod:`repro.dsp.lanes`) are dispatch decisions that cannot change any
+   row's bits, which is what makes cross-session batching and running
+   captures on several threads at once safe.
 
 Selection precedence: explicit > ``REPRO_DSP_BACKEND`` > numpy.
 

@@ -2,8 +2,8 @@
 
 Every spectral hot path of the reproduction — the detector's window-batch
 power evaluation (:meth:`repro.core.detection.FrequencyDetector
-.candidate_powers` / ``candidate_powers_stacked``), the acoustic mixer's
-channel convolutions, and the background-noise shaping filter — routes
+.candidate_powers`), the acoustic mixer's channel convolutions, and the
+background-noise shaping filter — routes
 through one of the kernels below instead of calling numpy/scipy directly.
 A backend is a stateless provider of those kernels; swapping backends can
 change *how fast* the kernels run and (for non-default backends) their
@@ -24,7 +24,12 @@ The contract that keeps the pipeline's determinism guarantees intact:
 * Kernel results are row-wise independent, so chunking
   (``fft_chunk_windows``: :data:`DEFAULT_FFT_CHUNK_WINDOWS` unless
   ``REPRO_DSP_CHUNK`` or the constructor sets it) never changes an
-  output bit.
+  output bit — provided no chunk holds a lone window of a longer run:
+  ``window_powers`` sums a one-window batch's aggregation bins in a
+  different order, so the detector folds a one-window remainder into
+  the chunk before it, and the ceiling must be at least 2.
+* Instances are shared by the DSP lanes (:mod:`repro.dsp.lanes`): a
+  kernel may run on several threads at once.
 
 ``window_powers`` is deliberately defined on the base class in terms of
 ``self.rfft`` plus the exact reference power arithmetic: an FFT-only
@@ -45,25 +50,23 @@ __all__ = ["DSPBackend", "CHUNK_ENV_VAR", "DEFAULT_FFT_CHUNK_WINDOWS"]
 #: of windows per FFT kernel call).
 CHUNK_ENV_VAR = "REPRO_DSP_CHUNK"
 
-#: Default windows-per-dispatch ceiling.  Since the detector moved to
-#: zero-copy strided slabs there is no per-chunk gather buffer to keep
-#: cache-resident — the FFT kernel's transient is one spectrum row plus
-#: the (n_windows, n_bins) output — and measurement shows splitting a
-#: scan's run into smaller dispatches only adds overhead (chunk 64 cost
-#: ~30 % more per window than one 241-window dispatch on the benchmark
-#: host).  The ceiling therefore only bounds transient memory for very
-#: large window batches (512 × 4096 → a 16 MB spectrum block); every
-#: hot-path run (fine pass: 241 windows, coarse pass: ≤ 70) dispatches
-#: whole.  Chunking is row-independent, so any value is bit-identical.
-DEFAULT_FFT_CHUNK_WINDOWS = 512
+#: Default windows-per-dispatch ceiling.  It bounds the transient
+#: spectrum block of one dispatch (64 × 2049 complex bins ≈ 2 MB), so
+#: two DSP lanes together hold less than one lane did at the old 512,
+#: where a fine pass's 241 windows made one ≈ 8 MB block.  300 rounds in
+#: one process peaked at 121 MiB on two lanes at 64, against 137 MiB on
+#: two lanes and 122 MiB on one lane at 512 (2-CPU host).  It costs no
+#: speed: a 241-window fine pass took 5.4–6.0 ms in chunks of 64 and
+#: 5.8–6.8 ms whole.
+DEFAULT_FFT_CHUNK_WINDOWS = 64
 
 
 class DSPBackend:
     """Base class for DSP kernel providers.
 
     Subclasses override :meth:`rfft` (and optionally the other kernels)
-    and set :attr:`name`.  Instances are cheap, stateless, and safe to
-    share across threads.  :attr:`fft_chunk_windows` is fixed at
+    and set :attr:`name`.  Instances are cheap, stateless, and shared
+    across the DSP lanes' threads.  :attr:`fft_chunk_windows` is fixed at
     construction: the ``fft_chunk_windows`` argument, else the
     ``REPRO_DSP_CHUNK`` environment variable, else
     :data:`DEFAULT_FFT_CHUNK_WINDOWS`.
@@ -82,12 +85,12 @@ class DSPBackend:
         env_chunk = os.environ.get(CHUNK_ENV_VAR)
         if fft_chunk_windows is None and env_chunk:
             fft_chunk_windows = int(env_chunk)
-        if fft_chunk_windows is not None and fft_chunk_windows < 1:
+        if fft_chunk_windows is not None and fft_chunk_windows < 2:
             raise ValueError(
-                f"fft_chunk_windows must be >= 1, got {fft_chunk_windows}"
+                f"fft_chunk_windows must be >= 2, got {fft_chunk_windows}"
             )
-        #: Windows per FFT dispatch; rows are independent, so any value
-        #: yields bit-identical results.
+        #: Windows per FFT dispatch; any value yields bit-identical
+        #: results (see the module docstring).
         self.fft_chunk_windows = fft_chunk_windows or DEFAULT_FFT_CHUNK_WINDOWS
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
@@ -160,6 +163,10 @@ class DSPBackend:
         self, signals: np.ndarray, taps: np.ndarray
     ) -> np.ndarray:
         """Row-wise full convolution of equal-shape (signal, taps) pairs.
+
+        A kernel for callers holding many equal-shape rows; the mixer
+        renders one capture at a time and convolves each arrival with
+        :meth:`convolve`.
 
         Parameters
         ----------

@@ -10,11 +10,13 @@ The backend is only ever installed by name (``--dsp-backend scipy``),
 and then promises the documented ``1e-10`` relative tolerance.
 
 The batched convolution kernel uses :func:`scipy.signal.oaconvolve`
-(overlap-add, FFT-based): across a stacked group of equal-shape
-(waveform, taps) pairs it evaluates all rows in one vectorized pass.
-Overlap-add changes the summation order versus direct convolution, so
-its outputs agree with ``np.convolve`` only to float tolerance — which is
-exactly why the default backend keeps the direct per-row kernel.
+(overlap-add, FFT-based): across a stack of equal-shape (waveform, taps)
+pairs it evaluates all rows in one vectorized pass.  Overlap-add changes
+the summation order versus direct convolution, so its outputs agree with
+``np.convolve`` only to float tolerance — which is exactly why the
+default backend keeps the direct per-row kernel.  The mixer convolves
+one arrival at a time (``convolve``), which this backend leaves to
+``np.convolve``.
 """
 
 from __future__ import annotations

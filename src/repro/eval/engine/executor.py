@@ -29,6 +29,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from repro.acoustics.environment import Environment
 from repro.core.config import ProtocolConfig
+from repro.dsp.lanes import share_cpus
 from repro.sim.geometry import Point, Room
 from repro.sim.pipeline import BatchedSessionRunner
 from repro.sim.world import AcousticWorld
@@ -105,7 +106,7 @@ def run_cell_spec(
     Module-level (picklable) so pool workers can run it; each trial gets a
     fresh world derived deterministically from the spec content.
 
-    ``batch_size`` selects how many sessions share one stacked DSP pass
+    ``batch_size`` selects how many sessions run stage by stage together
     (``None`` = the pipeline's auto default, ``1`` = the per-session
     staged path).  Every trial keeps its own ``derive_seed`` RNG stream,
     so the outcomes are bit-identical for every batch size.
@@ -192,12 +193,10 @@ class TrialEngine:
     chunk_size:
         Cells per pool dispatch; ``None`` auto-sizes for load balance.
     batch_size:
-        Sessions per stacked DSP pass inside each cell (the CLI's
+        Sessions per pipeline batch inside each cell (the CLI's
         ``--batch``).  ``None`` = the pipeline's auto default; ``1``
         forces the per-session staged path.  Results are bit-identical
-        for every value — the knob trades memory for FFT-batch size, and
-        the win multiplies with ``jobs`` since every worker batches its
-        own chunk.
+        for every value.
     """
 
     def __init__(
@@ -240,8 +239,12 @@ class TrialEngine:
         self.close()
 
     def _executor(self) -> ProcessPoolExecutor:
+        # Each worker is one of ``jobs`` DSP processes on this host's CPUs,
+        # so its DSP lanes (repro.dsp.lanes) take a 1/jobs share of them.
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=share_cpus, initargs=(self.jobs,)
+            )
         return self._pool
 
     def _report(self, message: str) -> None:

@@ -9,9 +9,10 @@ Scenario: the legitimate user (vouching device) is 4 m away — inside
 Bluetooth range, outside acoustic range — while the attacker's speaker sits
 0.3 m from the authenticating device.
 
-Attack trials are independent, so the engine fans them out in batches
-(every batch re-derives its per-trial seeds from the attack name, exactly
-like the serial loop did, so the denial counts are batch-size invariant).
+Attack trials are independent, so the engine fans them out one task per
+(attack, trial) and sizes the dispatch chunks itself (every task derives
+its seed from the attack name and trial, exactly like the serial loop
+did, so the denial counts do not depend on how tasks are dispatched).
 """
 
 from __future__ import annotations
@@ -43,32 +44,19 @@ _ATTACKS = {
     "all-frequency-spoof": AllFrequencySpoofAttack,
 }
 
-#: Trials per dispatched batch — fine enough to spread one attack's 100
-#: trials over several workers, coarse enough to amortize dispatch.
-_BATCH = 10
-
-
-def _attack_batch(task: tuple[str, int, int, int]) -> int:
-    """Denied count over trials ``[start, stop)`` of one attack."""
-    name, start, stop, seed = task
-    attack_cls = _ATTACKS[name]
-    denied = 0
-    for trial in range(start, stop):
-        world = build_pair_world(
-            "office", 4.0, derive_seed(seed, f"{name}:{trial}")
-        )
-        attacker = world.add_device("attacker", Point(0.3, 0.0))
-        attack = attack_cls(
-            world=world,
-            auth_name=AUTH,
-            vouch_name=VOUCH,
-            attacker=attacker,
-            auth_config=AuthConfig(threshold_m=1.0),
-        )
-        outcome = attack.run()
-        if outcome.denied:
-            denied += 1
-    return denied
+def _attack_trial(task: tuple[str, int, int]) -> bool:
+    """Whether trial ``trial`` of one attack was denied."""
+    name, trial, seed = task
+    world = build_pair_world("office", 4.0, derive_seed(seed, f"{name}:{trial}"))
+    attacker = world.add_device("attacker", Point(0.3, 0.0))
+    attack = _ATTACKS[name](
+        world=world,
+        auth_name=AUTH,
+        vouch_name=VOUCH,
+        attacker=attacker,
+        auth_config=AuthConfig(threshold_m=1.0),
+    )
+    return attack.run().denied
 
 
 def run(trials: int = 100, seed: int = 0, quick: bool = False) -> ExperimentReport:
@@ -80,16 +68,10 @@ def run(trials: int = 100, seed: int = 0, quick: bool = False) -> ExperimentRepo
     )
     report.add(PAPER_NOTES)
 
-    tasks = [
-        (name, start, min(start + _BATCH, trials), seed)
-        for name in _ATTACKS
-        for start in range(0, trials, _BATCH)
-    ]
-    batch_denials = get_engine().map_tasks(
-        _attack_batch, tasks, label="security", trials=trials * len(_ATTACKS)
-    )
+    tasks = [(name, trial, seed) for name in _ATTACKS for trial in range(trials)]
+    denials = get_engine().map_tasks(_attack_trial, tasks, label="security")
     denied_by_attack: dict[str, int] = {name: 0 for name in _ATTACKS}
-    for (name, _start, _stop, _seed), denied in zip(tasks, batch_denials):
+    for (name, _trial, _seed), denied in zip(tasks, denials):
         denied_by_attack[name] += denied
 
     rows = []

@@ -9,8 +9,9 @@ interaction).  Eight modules:
   dataclasses), the error-code vocabulary, and their newline-delimited
   JSON codec;
 * **scheduler** — :class:`BatchingScheduler`, which coalesces the
-  deterministic DSP of concurrent in-flight rounds into stacked
-  ``render_arrivals`` + ``detect_batch`` passes on its one DSP thread;
+  deterministic DSP of concurrent in-flight rounds into shared
+  ``render_arrivals`` + ``detect_batch`` passes on its one DSP thread,
+  which spreads each pass's captures over the process's DSP lanes;
 * **server** — :class:`AuthService`: request validation, the request →
   trial mapping (``request_spec``), the per-round stage drive (RNG
   stages on the request path, DSP via the scheduler), decision
@@ -50,9 +51,9 @@ Contracts (details in ``docs/service.md``):
   executed by the CLI engine, at any ``--workers`` count; round ``i``
   of a request is trial ``first_trial + i`` of the equivalent
   ``TrialSpec`` cell.
-* **Throughput** — concurrent requests share stacked DSP passes, so the
-  service inherits the batched hot path instead of paying
-  request-at-a-time kernel dispatch.
+* **Throughput** — every pass renders and detects its captures on the
+  process's DSP lanes (:mod:`repro.dsp.lanes`), so even one round uses
+  a CPU per capture.
 * **Backpressure** — a bounded round queue; excess requests receive a
   ``busy`` error instead of unbounded queueing.
 * **Graceful shutdown** — draining finishes accepted streams, answers

@@ -211,7 +211,7 @@ class StatsReply:
     size) — the wire messages are flat scalars by design, so the
     histogram travels as text.  ``deadline_expired`` counts rounds whose
     request deadline lapsed before batch admission; ``dsp_timeouts``
-    counts stacked DSP passes that exceeded the executor timeout (any
+    counts DSP passes that exceeded the executor timeout (any
     non-zero value marks the executor *suspect*).
     """
 

@@ -1,4 +1,4 @@
-"""Coalescing DSP scheduler: concurrent rounds share stacked kernel passes.
+"""Coalescing DSP scheduler: concurrent rounds share one DSP pass.
 
 The request path of the service (``repro.service.server``) runs the
 RNG-bound stages — ``negotiate``, ``schedule``, ``render_noise`` — inline
@@ -6,15 +6,16 @@ on the event loop, then hands the round's pure-data remainder to a
 :class:`BatchingScheduler`.  The scheduler's collector task gathers every
 round pending at that moment (up to ``max_batch``, lingering
 ``linger_ms`` for stragglers) and executes the deterministic half of the
-pipeline — :func:`~repro.sim.pipeline.render_arrivals` plus the stacked
-:func:`~repro.sim.pipeline.detect_batch` — as **one** batch on the
-scheduler's DSP thread.  Concurrent in-flight requests therefore inherit
-the batched hot path's throughput exactly as ``--batch`` trials do, while
-the event loop stays free to prepare the next rounds.
+pipeline — :func:`~repro.sim.pipeline.render_arrivals` plus
+:func:`~repro.sim.pipeline.detect_batch` — as **one** pass on the
+scheduler's DSP thread, which spreads the pass's captures over the
+process's DSP lanes (:mod:`repro.dsp.lanes`), so even a lone round's two
+captures run on two CPUs.  The event loop stays free to prepare the next
+rounds meanwhile.
 
 Determinism: batch composition is a scheduling decision, never a
 numerical one (invariant 2 of :mod:`repro.sim.pipeline`), so *which*
-requests happen to share a stacked pass cannot change any round's bits.
+requests happen to share a pass cannot change any round's bits.
 The RNG-bound stages and ``exchange_and_decide`` never enter the
 scheduler — each stays on its own session's stream, in order.
 
@@ -26,11 +27,11 @@ callers can retry instead of piling unbounded work onto the loop.
 Deadlines: a round may carry an ``expires_at`` loop time.  Expiry is
 enforced **at batch admission only** — when the collector is about to
 dispatch a batch, rounds whose deadline already lapsed fail with
-:class:`DeadlineExceeded` and the rest run as one normal stacked pass.
+:class:`DeadlineExceeded` and the rest run as one normal pass.
 Never mid-batch: batch composition stays a pure scheduling decision and
 admitted rounds always complete, so decisions remain bit-identical to
 the unfaulted/undeadlined run.  Independently, ``dsp_timeout_s`` bounds
-how long one stacked pass may take on the executor; a pass that exceeds
+how long one pass may take on the executor; a pass that exceeds
 it fails all its rounds closed with :class:`DeadlineExceeded` and marks
 the executor *suspect* (``SchedulerStats.dsp_timeouts``) — a wedged DSP
 job can stall its own batch, never the event loop.
@@ -69,7 +70,7 @@ class ServiceOverloaded(RuntimeError):
 
 class DeadlineExceeded(RuntimeError):
     """A round ran out of time — its deadline lapsed before batch
-    admission, or its stacked DSP pass exceeded ``dsp_timeout_s``.
+    admission, or its DSP pass exceeded ``dsp_timeout_s``.
 
     Always fails closed: the server maps this to a structured
     ``timeout`` error reply (a deny), never a grant.  Retriable — a
@@ -101,7 +102,7 @@ class SchedulerStats:
     queue_high_water: int = 0
     #: Rounds whose ``deadline_ms`` lapsed before batch admission.
     deadline_expired: int = 0
-    #: Stacked passes that exceeded ``dsp_timeout_s`` — each marks the
+    #: Passes that exceeded ``dsp_timeout_s`` — each marks the
     #: DSP executor *suspect* (a wedged worker or pathological batch).
     dsp_timeouts: int = 0
 
@@ -131,7 +132,7 @@ class SchedulerStats:
 
 @dataclass
 class _PendingRound:
-    """One prepared round awaiting its stacked DSP pass."""
+    """One prepared round awaiting its DSP pass."""
 
     context: SessionContext
     negotiation: NegotiationResult
@@ -147,12 +148,11 @@ class _PendingRound:
 def _execute_rounds(
     batch: Sequence[_PendingRound],
 ) -> list[tuple[RenderedRecordings, DetectionPair]]:
-    """The deterministic DSP of a batch, on the executor thread.
+    """The deterministic DSP of a batch, from the executor thread.
 
-    Stacks the arrival convolutions across all 2·B captures and the
-    detection FFTs across all 2·B recordings — the same kernel calls
-    :class:`~repro.sim.pipeline.BatchedSessionRunner` makes for trial
-    batches.
+    Renders and observes all 2·B captures on the process's DSP lanes —
+    the same calls :class:`~repro.sim.pipeline.BatchedSessionRunner`
+    makes for trial batches.
     """
     recordings = render_arrivals([item.planned for item in batch])
     detections = detect_batch(
@@ -165,19 +165,20 @@ def _execute_rounds(
 
 
 class BatchingScheduler:
-    """Batches concurrent rounds into stacked DSP passes.
+    """Batches concurrent rounds into shared DSP passes.
 
-    Stacked passes run one at a time on the scheduler's own one-thread
+    Passes run one at a time from the scheduler's own one-thread
     executor: the collector awaits each pass before gathering the next.
-    A pass overlaps the request path's RNG draws (``Generator`` sampling
-    releases the GIL), not its Python work: with numpy 2.4 two threads
-    running ``rfft`` take as long as running them one after the other.
-    Extra cores come from ``--workers``.
+    The DSP thread hands a pass's captures to the process's DSP lanes
+    (:mod:`repro.dsp.lanes`), one capture per lane, and the lanes overlap
+    because numpy's ``rfft`` releases the GIL.  A single-process server
+    gets a lane per CPU; shard workers of ``--workers N`` share the CPUs
+    and get a 1/N share each.
 
     Parameters
     ----------
     max_batch:
-        Rounds per stacked pass; ``None`` selects the pipeline's
+        Rounds per pass; ``None`` selects the pipeline's
         :data:`~repro.sim.pipeline.DEFAULT_BATCH_SIZE`.  ``1`` disables
         coalescing (each round renders and detects solo — the
         "batching off" benchmark configuration); results are
@@ -190,7 +191,7 @@ class BatchingScheduler:
         Queue limit; further :meth:`run_round` calls raise
         :class:`ServiceOverloaded` until the backlog drains.
     dsp_timeout_s:
-        Upper bound on one stacked pass.  A pass that exceeds it fails
+        Upper bound on one pass.  A pass that exceeds it fails
         every round in its batch with :class:`DeadlineExceeded` (the
         server answers ``timeout``, a deny) and increments
         ``stats.dsp_timeouts`` — the executor is then *suspect*: the
@@ -401,7 +402,7 @@ class BatchingScheduler:
         self, batch: list[_PendingRound], waited_s: float = 0.0
     ) -> None:
         # Rounds whose futures were abandoned (client disconnected, the
-        # request errored out) must not cost a stacked pass.
+        # request errored out) must not cost a DSP pass.
         batch = [item for item in batch if not item.future.done()]
         if not batch:
             return

@@ -11,8 +11,9 @@ Request lifecycle (see ``docs/service.md`` for the full narrative):
    → ``render_noise`` on the session's own RNG stream;
 3. the round's deterministic DSP is submitted to the
    :class:`~repro.service.scheduler.BatchingScheduler`, which coalesces
-   it with whatever other requests are in flight into one stacked
-   ``render_arrivals`` + ``detect_batch`` pass on the DSP thread;
+   it with whatever other requests are in flight into one
+   ``render_arrivals`` + ``detect_batch`` pass on the DSP thread, each
+   capture on a DSP lane;
 4. ``exchange_and_decide`` runs back on the request path, and the
    round's :class:`~repro.service.protocol.RoundDecision` streams to the
    caller immediately;
@@ -225,7 +226,7 @@ class AuthService:
         A pre-configured :class:`BatchingScheduler`; by default one is
         built from the keyword knobs below.
     batch_size:
-        Rounds per stacked DSP pass (``None`` = pipeline auto default,
+        Rounds per DSP pass (``None`` = pipeline auto default,
         ``1`` = per-round DSP — "batching off").
     linger_ms:
         Collector linger before dispatching a partial batch.
@@ -244,7 +245,7 @@ class AuthService:
         pressure; excess rounds simply wait their turn (they are not
         rejected — ``queue_limit`` is the rejecting limit).
     dsp_timeout_s:
-        Upper bound on one stacked DSP pass (see
+        Upper bound on one DSP pass (see
         :class:`BatchingScheduler`); a pass over budget fails its rounds
         closed with a ``timeout`` error and marks the executor suspect.
         ``None`` (default) disables the timeout.
@@ -373,7 +374,7 @@ class AuthService:
             # Rounds are independent trials (each on its own world and
             # RNG stream), so they execute eagerly in parallel: every
             # round's RNG stages run as soon as the loop is free and its
-            # DSP joins the next stacked batch — a request's rounds
+            # DSP joins the next DSP pass — a request's rounds
             # typically share one pass.  Decisions still stream strictly
             # in round order.
             spec = request_spec(request)

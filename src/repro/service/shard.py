@@ -80,6 +80,7 @@ import signal
 import tempfile
 from dataclasses import dataclass, field
 
+from repro.dsp.lanes import share_cpus
 from repro.service.calibration import CalibrationStore
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.protocol import (
@@ -140,6 +141,9 @@ def _shard_worker_main(
     service_options: dict,
 ) -> None:
     """Entry point of one spawned shard worker (its own event loop)."""
+    # One of ``shard_count`` DSP processes: its lanes take that share of
+    # the host's CPUs.
+    share_cpus(shard_count)
     asyncio.run(
         _run_worker(socket_path, shard_index, shard_count, service_options)
     )

@@ -8,10 +8,10 @@ Three modules (see ``docs/pipeline.md`` and ``docs/architecture.md``):
   :class:`repro.sim.session.RangingSession` wraps;
 * **batch** — :class:`BatchedSessionRunner`, which executes the
   negotiate/schedule/render_noise stages per trial (preserving each
-  trial's RNG stream), renders every capture's arrivals in one stacked
-  pass, and then runs detection as stacked window batches spanning every
-  recording of the batch (:func:`detect_batch`, the seam the streaming
-  service's scheduler shares);
+  trial's RNG stream), then renders every capture and observes every
+  recording of the batch, one capture per DSP lane (``render_arrivals``
+  and :func:`detect_batch`, the seams the streaming service's scheduler
+  shares);
 * **reference** — the pre-refactor monolithic loop, kept as the
   executable specification the equivalence tests and benchmarks compare
   against.
@@ -30,11 +30,13 @@ Invariants every caller may rely on (and every change must preserve):
    :class:`~repro.core.ranging.RangingOutcome`\\ s.  Batch composition is
    a scheduling decision, never a numerical one — this is what lets the
    trial engine pick ``--batch`` freely and lets ``repro.service``
-   coalesce unrelated concurrent requests into one stacked DSP pass.
+   coalesce unrelated concurrent requests into one DSP pass.  The same
+   holds for the number of DSP lanes (:mod:`repro.dsp.lanes`) a process
+   runs captures on.
 3. **Pure data boundaries** — everything crossing a stage boundary is a
    frozen dataclass (plus numpy arrays treated as immutable), so stages
    can run on different substrates (process-pool workers, the service's
-   DSP executor thread) without hidden shared state.
+   DSP executor thread, DSP lanes) without hidden shared state.
 """
 
 from repro.sim.pipeline.batch import (

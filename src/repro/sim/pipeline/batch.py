@@ -6,25 +6,19 @@ them stage by stage instead of session by session:
 1. ``negotiate`` + ``schedule`` + ``render_noise`` execute per session,
    each on its own RNG stream — these stages *are* the stream consumers,
    so their per-trial draw order is untouched (see ``docs/pipeline.md``);
-2. the render stage's deterministic half runs as one batch:
-   ``render_arrivals`` groups equal-shape (waveform, taps) pairs across
-   all 2·B captures into stacked convolutions;
-3. ``detect`` executes as one stacked pass: the 2·B capture buffers of the
-   batch go through a shared coarse ``candidate_powers_stacked`` pass
-   and one more stacked call for all fine passes
-   (:meth:`repro.core.action.ActionRanging.observe_batch`), instead of
-   2·B coarse + 4·B fine scans;
+2. the render stage's deterministic half renders all 2·B captures,
+   one capture job per DSP lane (``render_arrivals``);
+3. ``detect`` observes all 2·B recordings, one recording per DSP lane
+   (:func:`detect_batch`); each observation computes its coarse pass
+   once and then the own and remote fine scans;
 4. ``exchange_and_decide`` executes per session, again on the session RNG.
 
-Detection is a pure function of the recordings and the FFT/power
-arithmetic is row-wise independent, so batched outcomes are bit-identical
-to the serial staged path — the equivalence tests assert this against
-:func:`repro.sim.pipeline.reference.run_monolithic` as well.
-
-Sessions whose ranging engine is not the stock
-:class:`~repro.core.action.ActionRanging` (e.g. the ACTION-CC ablation)
-fall back to the per-session ``detect`` stage; everything else about the
-batch still applies.
+Detection is a pure function of the recordings and a recording's scans
+read nothing else, so batched outcomes are bit-identical to the serial
+staged path — the equivalence tests assert this against
+:func:`repro.sim.pipeline.reference.run_monolithic` as well.  The lanes
+(:mod:`repro.dsp.lanes`) are what the batch buys in speed; the batch
+size itself changes no kernel call.
 """
 
 from __future__ import annotations
@@ -36,8 +30,8 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.action import ActionRanging
-from repro.core.ranging import RangingOutcome
+from repro.core.ranging import DeviceObservation, RangingOutcome
+from repro.dsp.lanes import map_lanes
 from repro.sim.pipeline.stages import (
     DetectionPair,
     NegotiationResult,
@@ -45,7 +39,6 @@ from repro.sim.pipeline.stages import (
     RenderedRecordings,
     SessionArtifacts,
     SessionContext,
-    detect,
     exchange_and_decide,
     negotiate,
     record_schedule_artifacts,
@@ -63,25 +56,20 @@ __all__ = [
     "detect_batch",
 ]
 
-#: Auto batch size: large enough that the shared coarse pass and the
-#: stacked arrival convolutions amortize their dispatch overhead, small
-#: enough that a batch's 2·B capture buffers stay a modest memory
-#: footprint.  (FFT work is chunked independently, at
+#: Auto batch size: sessions per runner batch.  A batch's 2·B capture
+#: buffers stay a modest memory footprint; the batch size changes no
+#: kernel call (each capture renders and is observed on its own), so it
+#: trades nothing but memory.  FFT work is chunked independently, at
 #: :attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows` windows per
-#: dispatch: ``DEFAULT_FFT_CHUNK_WINDOWS`` (512) unless ``REPRO_DSP_CHUNK``
-#: or the backend's constructor sets it.)
+#: dispatch (``DEFAULT_FFT_CHUNK_WINDOWS`` unless ``REPRO_DSP_CHUNK`` or
+#: the backend's constructor sets it).
 DEFAULT_BATCH_SIZE = 16
 
 
-def _stackable_action(action) -> bool:
-    """Whether a session's detection can join a stacked observe pass.
-
-    Strict type check: a subclass could override ``observe`` with instance
-    state the stacked pass would not see.  ACTION behaviour depends only
-    on the (hashable) protocol config, which is part of the stacking
-    group key.
-    """
-    return type(action) is ActionRanging
+def _observe(scan) -> DeviceObservation:
+    """One recording's Step IV: ``(action, recording, own, remote, rate)``."""
+    action, recording, own, remote, sample_rate = scan
+    return action.observe(recording, own=own, remote=remote, sample_rate=sample_rate)
 
 
 def detect_batch(
@@ -89,62 +77,49 @@ def detect_batch(
         tuple[SessionContext, NegotiationResult, RenderedRecordings]
     ],
 ) -> list[DetectionPair]:
-    """Step IV for many independent sessions, stacked where possible.
+    """Step IV for many independent sessions, one recording per DSP lane.
 
     ``entries`` pair each session's immutable context and negotiation
-    result with its rendered recordings.  Sessions running the stock
-    :class:`~repro.core.action.ActionRanging` are grouped by (protocol
-    config, recording lengths) and dispatched as one stacked
-    ``observe_batch`` pass per group; any other engine falls back to the
-    per-session :func:`~repro.sim.pipeline.stages.detect` stage.  Results
-    come back in input order and are bit-identical to running ``detect``
-    per entry — detection is a pure function of the recordings and the
-    FFT/power arithmetic is row-wise independent.
+    result with its rendered recordings.  Each of the 2·B recordings goes
+    through its session's ``action.observe`` on the process's DSP lanes
+    (:func:`repro.dsp.lanes.map_lanes`) — the two calls the per-session
+    :func:`~repro.sim.pipeline.stages.detect` stage makes, for any
+    ranging engine.  Results come back in input order and are
+    bit-identical to running ``detect`` per entry: detection is a pure
+    function of each recording.
 
-    This is the shared batched-detection seam: both
-    :class:`BatchedSessionRunner` (stage-major trial batches) and the
-    streaming service's :class:`repro.service.BatchingScheduler`
-    (coalesced concurrent requests) route through it.
+    This is the shared detection seam: ``run_staged`` (B = 1),
+    :class:`BatchedSessionRunner` (stage-major trial batches), corpus
+    record/replay, and the streaming service's
+    :class:`repro.service.BatchingScheduler` (coalesced concurrent
+    requests) all route through it.
     """
-    results: dict[int, DetectionPair] = {}
-    groups: dict[tuple, list[int]] = {}
-    for index, (ctx, negotiation, recordings) in enumerate(entries):
-        if _stackable_action(ctx.action):
-            key = (
-                ctx.action.config,
-                recordings.auth.shape[0],
-                recordings.vouch.shape[0],
+    scans = []
+    for ctx, negotiation, recordings in entries:
+        signals = negotiation.signals
+        scans.append(
+            (
+                ctx.action,
+                recordings.auth,
+                signals.auth,
+                signals.vouch,
+                ctx.auth_device.sample_rate,
             )
-            groups.setdefault(key, []).append(index)
-        else:
-            results[index] = detect(ctx, negotiation, recordings)
-
-    for members in groups.values():
-        recordings = np.stack(
-            [
-                recording
-                for i in members
-                for recording in (entries[i][2].auth, entries[i][2].vouch)
-            ]
         )
-        scans = []
-        for i in members:
-            ctx, negotiation, _ = entries[i]
-            signals = negotiation.signals
-            scans.append(
-                (signals.auth, signals.vouch, ctx.auth_device.sample_rate)
+        scans.append(
+            (
+                ctx.action,
+                recordings.vouch,
+                signals.vouch,
+                signals.auth,
+                ctx.vouch_device.sample_rate,
             )
-            scans.append(
-                (signals.vouch, signals.auth, ctx.vouch_device.sample_rate)
-            )
-        action = entries[members[0]][0].action
-        observations = action.observe_batch(recordings, scans)
-        for position, index in enumerate(members):
-            results[index] = DetectionPair(
-                auth=observations[2 * position],
-                vouch=observations[2 * position + 1],
-            )
-    return [results[index] for index in range(len(entries))]
+        )
+    observations = map_lanes(_observe, scans)
+    return [
+        DetectionPair(auth=observations[2 * i], vouch=observations[2 * i + 1])
+        for i in range(len(entries))
+    ]
 
 
 class SessionLike(Protocol):
@@ -159,7 +134,7 @@ class SessionLike(Protocol):
 class _PreparedSession:
     """One session that survived negotiate/schedule/render_noise.
 
-    ``recordings`` is filled in by the batch-stacked arrival phase.
+    ``recordings`` is filled in by the arrival phase.
     """
 
     index: int
@@ -169,15 +144,14 @@ class _PreparedSession:
 
 
 class BatchedSessionRunner:
-    """Runs independent sessions through the pipeline in stacked batches.
+    """Runs independent sessions through the pipeline in batches.
 
     Parameters
     ----------
     batch_size:
-        Sessions per stacked detection pass; ``None`` selects
-        :data:`DEFAULT_BATCH_SIZE`.  ``1`` degenerates to the serial
-        staged path (useful for equivalence tests); results are identical
-        for every value.
+        Sessions per batch; ``None`` selects :data:`DEFAULT_BATCH_SIZE`.
+        ``1`` degenerates to the serial staged path (useful for
+        equivalence tests); results are identical for every value.
     """
 
     def __init__(
@@ -191,8 +165,9 @@ class BatchedSessionRunner:
         #: Optional wall-clock accounting: when a dict is supplied, each
         #: batch accumulates per-stage seconds into it under the keys
         #: ``prepare`` (negotiate+schedule+render_noise, the RNG-bound
-        #: phase), ``render`` (the stacked arrival phase), ``detect``,
-        #: and ``decide``.  Used by ``benchmarks/bench_pipeline.py`` and
+        #: phase), ``render`` (the arrival phase on the DSP lanes),
+        #: ``detect``, and ``decide``.  Used by
+        #: ``benchmarks/bench_pipeline.py`` and
         #: ``tools/profile_pipeline.py``; zero overhead when None.
         self.stage_timings = stage_timings
 
@@ -247,7 +222,7 @@ class BatchedSessionRunner:
 
         mark = self._account("prepare", mark)
 
-        # Deterministic arrival phase, stacked across all 2·B captures.
+        # Deterministic arrival phase: all 2·B captures, on the lanes.
         for item, recordings in zip(prepared, render_arrivals(planned_renders)):
             item.recordings = recordings
             artifacts = item.session.artifacts
@@ -275,7 +250,7 @@ class BatchedSessionRunner:
 
     @staticmethod
     def _detect_all(prepared: Sequence[_PreparedSession]) -> list[DetectionPair]:
-        """Step IV for every prepared session, via the shared stacked seam."""
+        """Step IV for every prepared session, via the shared seam."""
         return detect_batch(
             [
                 (item.session.context, item.negotiation, item.recordings)

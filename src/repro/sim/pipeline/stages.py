@@ -29,10 +29,11 @@ exactly the order the monolithic ``RangingSession.run`` always drew — see
 ``docs/pipeline.md`` for the determinism argument) and, in the final
 stage, the battery drain on the authenticating device.  Because the
 boundaries between stages carry plain data, a batch runner can execute
-``negotiate``/``schedule`` for B independent trials and then hand all B
-recording pairs to one stacked ``detect`` pass
-(:class:`repro.sim.pipeline.BatchedSessionRunner`), and a future service
-layer can run the stages across async or hardware-backed substrates.
+``negotiate``/``schedule`` for B independent trials and then render and
+detect all 2·B captures independently on the process's DSP lanes
+(:class:`repro.sim.pipeline.BatchedSessionRunner`,
+:mod:`repro.dsp.lanes`), and the service can run the stages across its
+event loop and DSP thread.
 
 :func:`run_staged` chains the stages for one session;
 :class:`repro.sim.session.RangingSession` is the thin compatibility
@@ -52,7 +53,7 @@ from repro.acoustics.mixer import (
     CaptureJob,
     PlaybackEvent,
     RecordingRequest,
-    render_capture_jobs,
+    render_capture,
 )
 from repro.acoustics.propagation import PropagationModel
 from repro.comms.bluetooth import BluetoothLink
@@ -69,6 +70,7 @@ from repro.core.ranging import (
 from repro.core.signal_construction import ReferenceSignal
 from repro.devices.battery import ComponentPower, PhaseDurations
 from repro.devices.device import Device
+from repro.dsp.lanes import map_lanes
 from repro.dsp.quantize import quantize_pcm16
 from repro.dsp.sine import synthesize_tone_sum
 from repro.sim.events import EventScheduler
@@ -221,8 +223,7 @@ class PlannedRender:
     beds and the realized-channel arrival plans for the auth and vouch
     captures.  Producing this object consumes the session RNG exactly as
     the one-shot ``render`` stage did; finalizing it consumes no RNG at
-    all, which is what lets a batch runner stack the arrival math of many
-    sessions into shared kernel calls.
+    all, which is what lets each capture render on its own DSP lane.
     """
 
     auth: CaptureJob
@@ -323,8 +324,9 @@ class RoundEvidence:
 # arrival phase.  The counters exist so sweeps can *prove* their
 # O(renders) claim — a 16-threshold ROC sweep must log exactly the same
 # counts as a 1-threshold run (tests/test_sweep.py, tools/roc_smoke.py).
-# Plain ints, no locking: render stages run on one thread per process,
-# and the counters are diagnostics, never inputs to any computation.
+# Plain ints, no locking: each stage counts on its calling thread (never
+# on a DSP lane), one key per stage, and the counters are diagnostics,
+# never inputs to any computation.
 _RENDER_CALLS = {"noise_plans": 0, "arrival_captures": 0}
 
 
@@ -519,15 +521,16 @@ def render_noise(
 def render_arrivals(planned: Sequence[PlannedRender]) -> list[RenderedRecordings]:
     """The deterministic half of the render stage, for 1..B sessions.
 
-    Stacks equal-shape (waveform, taps) convolutions across *all* 2·B
-    captures via :func:`repro.acoustics.mixer.render_capture_jobs`; the
-    per-capture accumulation order is unchanged, so the result is
-    bit-identical to finalizing each session alone (B = 1 *is* the serial
-    path — same kernels, same calls).
+    Renders each of the 2·B capture jobs on its own DSP lane
+    (:func:`repro.dsp.lanes.map_lanes` over
+    :func:`repro.acoustics.mixer.render_capture`).  A capture reads only
+    its own job, so the result is bit-identical to finalizing each
+    session alone (B = 1 *is* the serial path — same kernels, same
+    calls).
     """
     jobs = [job for item in planned for job in (item.auth, item.vouch)]
     _RENDER_CALLS["arrival_captures"] += len(jobs)
-    recordings = render_capture_jobs(jobs)
+    recordings = map_lanes(render_capture, jobs)
     return [
         RenderedRecordings(auth=recordings[2 * i], vouch=recordings[2 * i + 1])
         for i in range(len(planned))
@@ -556,8 +559,8 @@ def detect(
     """Step IV: both devices run the detector on their captures.
 
     RNG-free: detection is a pure function of the recordings.  The batch
-    runner replaces this stage with one stacked pass over every recording
-    of a batch (:meth:`repro.core.action.ActionRanging.observe_batch`).
+    seam :func:`repro.sim.pipeline.detect_batch` makes the same two
+    ``observe`` calls per session, each recording on its own DSP lane.
     """
     signals = negotiation.signals
     auth_obs = ctx.action.observe(
@@ -692,9 +695,8 @@ def run_staged(
 
     Render and detect go through the batch seams at B = 1
     (:func:`render_arrivals`, :func:`repro.sim.pipeline.detect_batch`):
-    same kernel calls as a batch of one, and each recording's coarse
-    pass is computed once for both of its scans instead of once per
-    :func:`detect` scan.
+    same kernel calls as a batch of one, with the round's two captures
+    on two DSP lanes where the process has them.
     """
     # Imported here: the batch module builds on this one.
     from repro.sim.pipeline.batch import detect_batch

@@ -262,11 +262,6 @@ def test_noise_sample_equals_draw_plus_shape():
     sampled = model.sample(8_000, 44_100.0, np.random.default_rng(3))
     draw = model.draw(8_000, 44_100.0, np.random.default_rng(3))
     assert np.array_equal(model.shape(draw), sampled)
-    # Pre-filtered row supplied externally (the batched path) — same bits.
-    from repro.dsp.backend import get_backend
-
-    colored = get_backend().sosfilt(model.sos(44_100.0), draw.white)
-    assert np.array_equal(model.shape(draw, colored), sampled)
 
 
 def test_noise_sos_design_is_cached():

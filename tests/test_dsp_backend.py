@@ -111,6 +111,15 @@ def test_chunk_env_override(monkeypatch):
     assert NumpyBackend().fft_chunk_windows == DEFAULT_FFT_CHUNK_WINDOWS
 
 
+def test_chunk_below_two_windows_is_rejected(monkeypatch):
+    # A one-window chunk would sum its bins in another order.
+    with pytest.raises(ValueError):
+        NumpyBackend(fft_chunk_windows=1)
+    monkeypatch.setenv("REPRO_DSP_CHUNK", "1")
+    with pytest.raises(ValueError):
+        NumpyBackend()
+
+
 # ----------------------------------------------------------------------
 # Numpy default: bit-compatibility with the pre-backend expressions
 # ----------------------------------------------------------------------

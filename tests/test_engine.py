@@ -315,18 +315,18 @@ def test_measure_sigmas_served_from_shared_cache():
 
 
 def test_map_tasks_preserves_order_across_jobs():
-    from repro.eval.experiments.security import _attack_batch
+    from repro.eval.experiments.security import _attack_trial
 
     tasks = [
-        ("zero-effort", 0, 2, 17),
-        ("guessing-replay", 0, 2, 17),
-        ("all-frequency-spoof", 0, 2, 17),
+        (name, trial, 17)
+        for name in ("zero-effort", "guessing-replay", "all-frequency-spoof")
+        for trial in range(2)
     ]
-    serial = TrialEngine(jobs=1).map_tasks(_attack_batch, tasks)
+    serial = TrialEngine(jobs=1).map_tasks(_attack_trial, tasks)
     with TrialEngine(jobs=2, chunk_size=1) as engine:
-        parallel = engine.map_tasks(_attack_batch, tasks)
+        parallel = engine.map_tasks(_attack_trial, tasks)
     assert serial == parallel
-    assert all(denied == 2 for denied in serial)
+    assert all(serial)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.core.detection import FrequencyDetector
 from repro.core.ranging import RangingOutcome
 from repro.core.signal_construction import signal_from_indices
 from repro.corpus import mini_environment, mini_protocol_config
+from repro.dsp.backend import NumpyBackend, use_backend
 from repro.eval.engine import (
     AUTH,
     VOUCH,
@@ -173,11 +174,11 @@ def test_batch_runner_rejects_bad_batch_size():
 
 
 def test_detect_batch_matches_per_entry_detect():
-    """Stacking groups, per-session fallbacks, and input order.
+    """Mixed engines, configs and recording lengths, in input order.
 
     Stock ACTION and ACTION-CC sessions under two protocol configs are
-    interleaved, so one call holds two stacking groups (one per config)
-    plus the ACTION-CC sessions that fall back to per-session ``detect``.
+    interleaved; every recording goes through its own session's
+    ``observe``, whatever its neighbours are.
     """
     mini = mini_protocol_config()
     paper_cell = dict(environment="office", distance_m=1.0, n_trials=2)
@@ -243,7 +244,7 @@ def test_experiment_tables_backend_invariant(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Detector: direct window gather and stacked FFT passes.
+# Detector: direct window gather and chunked FFT dispatch.
 # ----------------------------------------------------------------------
 
 
@@ -287,80 +288,123 @@ def test_window_gather_is_exact(detector, config, rng):
     assert np.array_equal(spectra_gathered, spectra_view)
 
 
-def test_stacked_powers_bit_identical_to_per_recording(detector, config, rng):
-    recordings = np.stack(
-        [_noisy_recording(config, rng), rng.normal(0.0, 20.0, size=50_000)]
-    )
-    starts = detector.coarse_starts(recordings.shape[1])
-    jobs = [(0, starts), (1, starts), (0, starts[3:7]), (1, starts[:0])]
-    stacked = detector.candidate_powers_stacked(recordings, jobs)
-    assert len(stacked) == len(jobs)
-    for powers, (index, job_starts) in zip(stacked, jobs):
-        assert np.array_equal(
-            powers, detector.candidate_powers(recordings[index], job_starts)
-        )
-
-
-def test_chunked_fft_dispatch_is_bit_stable(detector, config, rng, monkeypatch):
+def test_chunked_fft_dispatch_is_bit_stable(detector, config, rng):
     recording = _noisy_recording(config, rng)
     starts = np.arange(0, recording.size - config.signal_length, 97)
     baseline = detector.candidate_powers(recording, starts)
-    monkeypatch.setattr(FrequencyDetector, "MAX_FFT_WINDOWS", 13)
-    assert np.array_equal(
-        detector.candidate_powers(recording, starts), baseline
+    with use_backend(NumpyBackend(fft_chunk_windows=13)):
+        assert np.array_equal(
+            detector.candidate_powers(recording, starts), baseline
+        )
+
+
+def test_every_chunk_size_matches_unchunked_powers(detector, config, rng):
+    """No chunk size changes a power: a one-window remainder is folded.
+
+    A one-window ``window_powers`` batch sums its aggregation bins in a
+    different order than a longer batch, so a chunking that left one
+    window of a run alone changed that window's bits.  Swept over the
+    real scan grids: the coarse pass of a 1.6 s capture (a 67-window run
+    plus its single tail start) and a 241-window fine pass.
+    """
+    from repro.dsp.windows import refine_range
+
+    recording = rng.normal(0.0, 20.0, size=70_560)
+    length = config.signal_length
+    coarse = detector.coarse_starts(recording.size)
+    fine = refine_range(
+        center=30_000,
+        radius=config.fine_radius,
+        total_length=recording.size,
+        window_length=length,
+        step=config.fine_step,
     )
+    runs = FrequencyDetector._regular_runs
+    assert [count for _, count, _ in runs(coarse)] == [67, 1]
+    assert [count for _, count, _ in runs(fine)] == [241]
+    for starts in (coarse, fine):
+        whole = starts.size + 1
+        with use_backend(NumpyBackend(fft_chunk_windows=whole)):
+            unchunked = detector.candidate_powers(recording, starts)
+        for chunk in range(2, whole + 1):
+            with use_backend(NumpyBackend(fft_chunk_windows=chunk)):
+                powers = detector.candidate_powers(recording, starts)
+            assert np.array_equal(powers, unchunked), chunk
 
 
-def test_stacked_rejects_bad_inputs(detector, config):
-    with pytest.raises(ValueError):
-        detector.candidate_powers_stacked(np.zeros(100), [(0, np.array([0]))])
-    stack = np.zeros((2, 10_000))
-    with pytest.raises(ValueError):
-        detector.candidate_powers_stacked(stack, [(2, np.array([0]))])
-    with pytest.raises(ValueError):
-        detector.candidate_powers_stacked(stack, [(0, np.array([9_000]))])
+def test_chunks_fold_a_one_window_remainder():
+    chunks = FrequencyDetector._chunks
+    assert chunks(1, 64) == [(0, 1)]
+    assert chunks(65, 64) == [(0, 65)]
+    assert chunks(66, 64) == [(0, 64), (64, 66)]
+    assert chunks(7, 3) == [(0, 3), (3, 7)]
+    assert chunks(6, 3) == [(0, 3), (3, 6)]
 
 
-def test_observe_batch_matches_observe(config, rng):
+class _CountingBackend(NumpyBackend):
+    """The numpy reference, counting ``window_powers`` dispatches."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.window_powers_calls = 0
+
+    def window_powers(self, windows, rfft_bins, length):
+        self.window_powers_calls += 1
+        return super().window_powers(windows, rfft_bins, length)
+
+
+def test_observe_matches_two_detect_composition(config, rng):
+    """``observe`` is the historical two-``detect`` composition, with one
+    coarse pass instead of two."""
     from repro.core.action import ActionRanging
 
     action = ActionRanging(config)
-    own_a = signal_from_indices([1, 5, 9], config)
-    remote_a = signal_from_indices([2, 12, 22], config)
-    own_b = signal_from_indices([0, 7, 14, 21], config)
-    remote_b = signal_from_indices([3, 8, 13], config)
-    rec_a = rng.normal(0.0, 10.0, size=60_000)
-    rec_a[5_000 : 5_000 + config.signal_length] += own_a.samples
-    rec_a[40_000 : 40_000 + config.signal_length] += 0.3 * remote_a.samples
-    rec_b = rng.normal(0.0, 10.0, size=60_000)
-    rec_b[9_000 : 9_000 + config.signal_length] += own_b.samples
+    detector = action.detector
+    own = signal_from_indices([1, 5, 9], config)
+    remote = signal_from_indices([2, 12, 22], config)
+    recording = rng.normal(0.0, 10.0, size=60_000)
+    recording[5_000 : 5_000 + config.signal_length] += own.samples
+    recording[40_000 : 40_000 + config.signal_length] += 0.3 * remote.samples
 
-    scans = [
-        (own_a, remote_a, config.sample_rate),
-        (own_b, remote_b, config.sample_rate),
-    ]
-    batched = action.observe_batch(np.stack([rec_a, rec_b]), scans)
-    serial = [
-        action.observe(rec, own=own, remote=remote, sample_rate=rate)
-        for rec, (own, remote, rate) in zip([rec_a, rec_b], scans)
-    ]
-    assert batched == serial
-    assert batched[0].own.present
-    assert batched[0].remote.present
+    with use_backend(_CountingBackend()) as counting:
+        own_result = detector.detect(recording, [own], ["own"])[0]
+        zones = action._own_exclusion_zones(own_result)
+        remote_result = detector.detect(
+            recording, [remote], ["remote"], exclusion_zones=[zones]
+        )[0]
+        composed_calls = counting.window_powers_calls
+        counting.window_powers_calls = 0
+        observation = action.observe(
+            recording, own=own, remote=remote, sample_rate=config.sample_rate
+        )
+        observe_calls = counting.window_powers_calls
+        counting.window_powers_calls = 0
+        detector.candidate_powers(
+            recording, detector.coarse_starts(recording.size)
+        )
+        coarse_calls = counting.window_powers_calls
+
+    assert observation.own == own_result
+    assert observation.remote == remote_result
+    assert observation.own.present and observation.remote.present
+    assert coarse_calls > 0
+    assert observe_calls == composed_calls - coarse_calls
 
 
-def test_observe_batch_short_recordings(config):
+def test_observe_short_recordings(config):
     from repro.core.action import ActionRanging
 
     action = ActionRanging(config)
     own = signal_from_indices([1, 5], config)
     remote = signal_from_indices([2, 6], config)
-    tiny = np.zeros((2, config.signal_length // 2))
-    observations = action.observe_batch(
-        tiny, [(own, remote, config.sample_rate)] * 2
+    observation = action.observe(
+        np.zeros(config.signal_length // 2),
+        own=own,
+        remote=remote,
+        sample_rate=config.sample_rate,
     )
-    assert all(not obs.own.present for obs in observations)
-    assert all(obs.own.windows_scanned == 0 for obs in observations)
+    assert not observation.own.present and not observation.remote.present
+    assert observation.own.windows_scanned == 0
 
 
 # ----------------------------------------------------------------------

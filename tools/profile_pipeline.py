@@ -12,6 +12,10 @@ plan through the batched pipeline and prints either
   that surfaced the window-gather copies, the per-buffer Butterworth
   redesign, and the per-tone ``np.sin`` loop.
 
+Both modes first keep every CPU busy for ~2 s (a second vCPU can run at
+about half speed for its first second after idling) and print the
+process's DSP lane count, since each capture's DSP runs on a lane.
+
 Examples
 --------
 ::
@@ -27,30 +31,21 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import sys
+from pathlib import Path
 from time import perf_counter
 
 from repro.core.decisions import ThresholdGridPolicy
 from repro.dsp.backend import get_backend, select_backend, set_backend
-from repro.eval.engine import AUTH, VOUCH, TrialSpec, build_pair_world
+from repro.dsp.lanes import lane_count
+from repro.eval.engine import AUTH, VOUCH, build_pair_world
 from repro.eval.sweep import DEFAULT_ROC_THRESHOLDS
 from repro.sim.pipeline import BatchedSessionRunner
 
-try:  # pragma: no cover - import-path convenience
-    from benchmarks.bench_pipeline import _fig1_specs
-except ImportError:  # running from a different cwd
-    from repro.acoustics.environment import FIGURE1_ENVIRONMENTS
-
-    def _fig1_specs(trials: int) -> list[TrialSpec]:
-        return [
-            TrialSpec(
-                environment=environment,
-                distance_m=distance,
-                n_trials=trials,
-                seed=0,
-            )
-            for environment in FIGURE1_ENVIRONMENTS
-            for distance in (0.5, 1.0, 1.5, 2.0)
-        ]
+# The plan and the CPU warm-up are the pipeline benchmark's, wherever
+# this script is started from.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from benchmarks.bench_pipeline import _fig1_specs, warm_cpus  # noqa: E402
 
 
 def _build_plan(trials: int):
@@ -105,8 +100,9 @@ def main() -> int:
     n_trials = sum(len(sessions) for sessions in plan)
     print(
         f"plan: fig1 x {args.trials} trials/cell = {n_trials} trials, "
-        f"batch={args.batch}, dsp-backend={backend.name}"
+        f"batch={args.batch}, dsp-backend={backend.name}, lanes={lane_count()}"
     )
+    warm_cpus()
 
     if args.mode == "wall":
         timings: dict[str, float] = {}
