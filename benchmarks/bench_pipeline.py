@@ -1,4 +1,4 @@
-"""Hot-path throughput: per-session vs batched pipeline execution.
+"""Hot-path throughput: the pipeline against the pre-refactor loop.
 
 Measures single-process trials/sec on a Fig. 1-style plan (four
 environments × four distances) for
@@ -8,17 +8,13 @@ environments × four distances) for
   view, all bins materialized), i.e. the engine as it existed before the
   staged-pipeline refactor;
 * ``staged_per_session`` — ``RangingSession.run()`` chaining the pipeline
-  stages serially (current ``--batch 1``);
-* ``batched_N`` — :class:`BatchedSessionRunner` at batch sizes 1/8/16/32
-  (current ``--batch N``).
+  stages serially, one session at a time, as the trial engine runs them.
 
-All variants under the default DSP backend produce bit-identical outcomes
-(asserted here as well); only the wall clock may differ.  The variants
-run with this process's DSP lanes (``repro.dsp.lanes``: one per CPU).
-The document additionally records a per-stage wall-clock split of the
-``batched_16`` run (RNG-bound prepare, render, detect, decide), a
-per-DSP-backend ``batched_16`` row for every registered backend (with
-whether its outcomes equal the numpy run's).
+Both variants run with this process's DSP lanes
+(``repro.dsp.lanes``: one per CPU).  The document additionally records a
+per-stage wall-clock split (RNG-bound prepare, render, detect, decide)
+of the same plan, one session at a time through
+:class:`BatchedSessionRunner`'s stage accounting.
 
 A **lanes** section times one round at a time (``RangingSession.run``)
 at 1 and 2 DSP lanes, in interleaved blocks over the same rounds, after
@@ -56,12 +52,6 @@ from time import perf_counter
 
 from repro.acoustics.environment import FIGURE1_ENVIRONMENTS
 from repro.core.detection import FrequencyDetector
-from repro.dsp.backend import (
-    NumpyBackend,
-    available_backends,
-    create_backend,
-    use_backend,
-)
 from repro.dsp.lanes import lane_count, share_cpus
 from repro.eval.engine import (
     AUTH,
@@ -73,7 +63,6 @@ from repro.eval.engine import (
 from repro.sim.pipeline import BatchedSessionRunner, run_monolithic
 
 _DISTANCES = (0.5, 1.0, 1.5, 2.0)
-BATCH_SIZES = (1, 8, 16, 32)
 #: Lane counts the lanes section compares, and its interleaved blocks.
 LANE_COUNTS = (1, 2)
 LANE_BLOCKS = 4
@@ -104,57 +93,34 @@ def _build_sessions(spec: TrialSpec):
     return sessions
 
 
-def _run_plan(specs, executor):
-    """Outcomes for the whole plan; session building stays off the clock."""
+def _run_plan(specs, executor) -> float:
+    """Seconds to run the whole plan; session building stays off the clock."""
     prepared = [_build_sessions(spec) for spec in specs]
     start = perf_counter()
-    outcomes = [executor(sessions) for sessions in prepared]
-    elapsed = perf_counter() - start
-    return outcomes, elapsed
+    for sessions in prepared:
+        executor(sessions)
+    return perf_counter() - start
 
 
-def _measure(specs, executor, reps: int):
+def _measure(specs, executor, reps: int) -> dict:
     """Best-of-``reps`` throughput (the host's scheduler noise is large)."""
     total_trials = sum(spec.n_trials for spec in specs)
-    best_elapsed = None
-    outcomes = None
-    for _ in range(reps):
-        outcomes, elapsed = _run_plan(specs, executor)
-        best_elapsed = elapsed if best_elapsed is None else min(best_elapsed, elapsed)
+    best_elapsed = min(_run_plan(specs, executor) for _ in range(reps))
     return {
         "trials": total_trials,
         "seconds": round(best_elapsed, 4),
         "trials_per_s": round(total_trials / best_elapsed, 3),
-    }, outcomes
+    }
 
 
 def _pre_refactor_executor(sessions):
     return [run_monolithic(s.context, s.rng, s.artifacts) for s in sessions]
 
 
-def _measure_backends(specs, staged, reps: int, numpy_row: dict) -> dict:
-    """``batched_16`` throughput per registered DSP backend.
-
-    The numpy row reuses the main benchmark's ``batched_16`` measurement
-    (the main runs are pinned to the numpy reference backend); other
-    rows record whether their outcomes equal the staged numpy run's.
-    """
-    rows = {"numpy": dict(numpy_row, outcomes_match_numpy=True)}
-    for name in available_backends():
-        if name == NumpyBackend.name:
-            continue
-        with use_backend(create_backend(name)):
-            runner = BatchedSessionRunner(16)
-            measurement, outcomes = _measure(specs, runner.run, reps)
-        measurement["outcomes_match_numpy"] = outcomes == staged
-        rows[name] = measurement
-    return rows
-
-
 def _measure_stages(specs) -> dict:
-    """Per-stage wall-clock split of one ``batched_16`` pass."""
+    """Per-stage wall-clock split of one pass, one session at a time."""
     timings: dict[str, float] = {}
-    runner = BatchedSessionRunner(16, stage_timings=timings)
+    runner = BatchedSessionRunner(1, stage_timings=timings)
     _run_plan(specs, runner.run)
     total = sum(timings.values())
     return {
@@ -318,41 +284,27 @@ def _measure_roc_sweep(trials: int, seed: int = 0) -> dict:
 
 
 def run_benchmark(trials: int = 2, reps: int = 2) -> dict:
-    """Measure every variant; returns the JSON-ready result document.
-
-    The main variant runs are pinned to the numpy reference backend so
-    the document's headline rows never depend on ``REPRO_DSP_BACKEND``;
-    the per-backend section then covers the alternates.
-    """
+    """Measure every variant; returns the JSON-ready result document."""
     specs = _fig1_specs(trials)
     results = {}
 
-    with use_backend("numpy"):
-        original = FrequencyDetector.candidate_powers
-        FrequencyDetector.candidate_powers = (
-            FrequencyDetector.candidate_powers_reference
+    original = FrequencyDetector.candidate_powers
+    FrequencyDetector.candidate_powers = (
+        FrequencyDetector.candidate_powers_reference
+    )
+    try:
+        results["pre_refactor_per_session"] = _measure(
+            specs, _pre_refactor_executor, reps
         )
-        try:
-            results["pre_refactor_per_session"], baseline = _measure(
-                specs, _pre_refactor_executor, reps
-            )
-        finally:
-            FrequencyDetector.candidate_powers = original
+    finally:
+        FrequencyDetector.candidate_powers = original
 
-        results["staged_per_session"], staged = _measure(
-            specs, lambda sessions: [s.run() for s in sessions], reps
-        )
-        for batch in BATCH_SIZES:
-            runner = BatchedSessionRunner(batch)
-            results[f"batched_{batch}"], outcomes = _measure(
-                specs, runner.run, reps
-            )
-            assert outcomes == staged, (
-                f"batched_{batch} outcomes diverged from the staged path"
-            )
-        stages = _measure_stages(specs)
-        roc_sweep = _measure_roc_sweep(trials)
-        lanes = _measure_lanes(specs)
+    results["staged_per_session"] = _measure(
+        specs, lambda sessions: [s.run() for s in sessions], reps
+    )
+    stages = _measure_stages(specs)
+    roc_sweep = _measure_roc_sweep(trials)
+    lanes = _measure_lanes(specs)
 
     def _rate(name):
         return results[name]["trials_per_s"]
@@ -371,28 +323,19 @@ def run_benchmark(trials: int = 2, reps: int = 2) -> dict:
             "python": platform.python_version(),
         },
         "results": results,
-        "stages_batched_16": stages,
-        "backends_batched_16": _measure_backends(
-            specs, staged, reps, results["batched_16"]
-        ),
+        "stages": stages,
         "roc_sweep": roc_sweep,
         "lanes": lanes,
         "speedups": {
             "staged_vs_pre_refactor": round(
                 _rate("staged_per_session") / _rate("pre_refactor_per_session"), 2
             ),
-            "batched_16_vs_pre_refactor": round(
-                _rate("batched_16") / _rate("pre_refactor_per_session"), 2
-            ),
-            "batched_16_vs_staged": round(
-                _rate("batched_16") / _rate("staged_per_session"), 2
-            ),
         },
         "notes": (
-            "single-process, one DSP lane per CPU; outcomes bit-identical "
-            "across all variants under the default DSP backend; "
+            "single-process, one DSP lane per CPU; "
             "pre_refactor_per_session swaps candidate_powers for the "
-            "preserved reference implementation; stage split: prepare = "
+            "preserved reference implementation; stage split (one "
+            "session at a time): prepare = "
             "RNG-bound negotiate/schedule/render_noise, render = arrival "
             "phase, detect = window scans, both one capture per lane; "
             "roc_sweep rows measure the decide seam (repro.eval.sweep): a "
@@ -415,7 +358,7 @@ def test_pipeline_throughput(benchmark, quick):
     print("speedups:", document["speedups"])
     print("roc_sweep:", json.dumps(document["roc_sweep"], indent=2))
     print("lanes:", json.dumps(document["lanes"], indent=2))
-    assert document["speedups"]["batched_16_vs_pre_refactor"] > 1.0
+    assert document["speedups"]["staged_vs_pre_refactor"] > 1.0
     roc = document["roc_sweep"]
     assert roc["zero_extra_renders_vs_t1"], (
         "T=16 sweep rendered more than T=1: "

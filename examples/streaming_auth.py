@@ -68,7 +68,7 @@ async def authenticate_one(
 
 
 async def run(rounds: int) -> None:
-    service = AuthService(batch_size=8, linger_ms=10.0)
+    service = AuthService()
     async with service:
         server = await service.serve("127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]

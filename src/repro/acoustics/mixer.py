@@ -28,7 +28,7 @@ A capture renders in two phases with a data boundary between them:
 * :func:`render_capture` — the **arrival phase**: pure deterministic
   math (noise shaping, then convolve × amplitude → clock-skew warp →
   placement → quantize per arrival) over one planned capture, routed
-  through the active :mod:`repro.dsp.backend` kernels.
+  through the process-wide :mod:`repro.dsp.backend` kernels.
 
 Because the arrival phase is RNG-free and reads nothing outside its own
 job, the pipeline renders the captures of a batch independently, on the

@@ -18,27 +18,30 @@ Serve streaming authentication requests over TCP (``docs/service.md``)::
 
     python -m repro serve --port 8765
 
-Results are deterministic in ``--seed`` regardless of ``--jobs`` and
-``--batch``: the parallel engine derives every trial's randomness from
-the experiment description, never from scheduling order, and the batched
-session pipeline preserves each trial's RNG stream exactly
-(``docs/pipeline.md``).  ``--cache-dir`` persists shareable measurements
-(e.g. the σ_d estimates behind Tables I/II) as JSON across invocations.
+Results are deterministic in ``--seed`` regardless of ``--jobs``: the
+parallel engine derives every trial's randomness from the experiment
+description, never from scheduling order (``docs/pipeline.md``).
+``--cache-dir`` persists shareable measurements (e.g. the σ_d estimates
+behind Tables I/II) as JSON across invocations.
+
+Every run uses one DSP configuration: the numpy kernels, one session at
+a time in the engine, and the service's coalesced DSP passes.  The DSP
+lanes a process runs captures on follow from ``--jobs`` (engine
+workers) or ``--workers`` (shard workers).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import time
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 # Only stdlib-only modules load here: building the parser (and ``repro
 # serve``'s router) must not pay for numpy, scipy or the simulator.  Each
 # command imports the machinery it runs.
-from repro.dsp.backend import BACKEND_ENV_VAR, available_backends
 from repro.eval.registry import EXPERIMENTS, list_experiments, run_experiment
 from repro.eval.reporting import format_throughput
 
@@ -48,11 +51,34 @@ if TYPE_CHECKING:
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(
+    convert: Callable[[str], float], low: float, *, inclusive: bool = True
+) -> Callable[[str], float]:
+    """An argparse type: ``convert(text)``, finite and >= (or >) ``low``.
+
+    An out-of-range value exits with status 2 and a usage message, like
+    any other bad argument.
+    """
+    relation = ">=" if inclusive else ">"
+
+    def parse(text: str) -> float:
+        value = convert(text)
+        in_range = value >= low if inclusive else value > low
+        if not (math.isfinite(value) and in_range):
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} {low}, got {text}"
+            )
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_positive_int = _at_least(int, 1)
+_non_negative_int = _at_least(int, 0)
+_positive_float = _at_least(float, 0, inclusive=False)
+_non_negative_float = _at_least(float, 0)
 
 
 def _add_engine_options(
@@ -68,17 +94,6 @@ def _add_engine_options(
             "count; 1 = serial). Results are identical for any value."
         ),
     )
-    parser.add_argument(
-        "--batch",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "sessions run stage by stage together inside each cell "
-            "(default: auto; 1 = per-session execution). Results are "
-            "identical for any value."
-        ),
-    )
     if cache_dir:
         parser.add_argument(
             "--cache-dir",
@@ -86,18 +101,6 @@ def _add_engine_options(
             metavar="DIR",
             help="persist shareable measurements as JSON under DIR",
         )
-    parser.add_argument(
-        "--dsp-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "DSP kernel backend for the spectral hot paths: "
-            f"{', '.join(available_backends())} (default: the "
-            f"{BACKEND_ENV_VAR} env var if set, else numpy, the "
-            "bit-compatible reference; named non-numpy backends run "
-            "within documented float tolerance instead)"
-        ),
-    )
     parser.add_argument(
         "--progress",
         action="store_true",
@@ -120,17 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run_parser.add_argument(
-        "--trials", type=int, default=None,
+        "--trials", type=_positive_int, default=None,
         help="trials per cell (default: experiment-specific, paper-matching)",
     )
-    run_parser.add_argument("--seed", type=int, default=0)
+    run_parser.add_argument("--seed", type=_non_negative_int, default=0)
     run_parser.add_argument(
         "--quick", action="store_true", help="reduced trial counts"
     )
     _add_engine_options(run_parser, cache_dir=True)
 
     all_parser = sub.add_parser("run-all", help="run every experiment")
-    all_parser.add_argument("--seed", type=int, default=0)
+    all_parser.add_argument("--seed", type=_non_negative_int, default=0)
     all_parser.add_argument("--quick", action="store_true")
     _add_engine_options(all_parser, cache_dir=True)
 
@@ -147,10 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     roc_parser.add_argument(
-        "--trials", type=int, default=10,
+        "--trials", type=_positive_int, default=10,
         help="trials per scene cell (default: the tables' 10)",
     )
-    roc_parser.add_argument("--seed", type=int, default=0)
+    roc_parser.add_argument("--seed", type=_non_negative_int, default=0)
     roc_parser.add_argument(
         "--quick", action="store_true", help="reduced trial counts"
     )
@@ -211,9 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="device separations in meters (default: 0.5 1.0 2.0)",
     )
     capture_parser.add_argument(
-        "--trials", type=int, default=4, help="trials per cell (default: 4)"
+        "--trials",
+        type=_positive_int,
+        default=4,
+        help="trials per cell (default: 4)",
     )
-    capture_parser.add_argument("--seed", type=int, default=0)
+    capture_parser.add_argument("--seed", type=_non_negative_int, default=0)
     _add_engine_options(capture_parser)
 
     replay_parser = sub.add_parser(
@@ -240,17 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "count decision mismatches per entry instead of failing on "
             "the first (for replaying under a deliberately different "
-            "detector or backend)"
-        ),
-    )
-    replay_parser.add_argument(
-        "--batch",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "trials detected together per pass (default: auto). Replayed "
-            "decisions are identical for any value."
+            "detector)"
         ),
     )
     replay_parser.add_argument(
@@ -269,15 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the replay report as JSON instead of text",
-    )
-    replay_parser.add_argument(
-        "--dsp-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "DSP kernel backend, as for run/run-all: "
-            f"{', '.join(available_backends())}"
-        ),
     )
 
     scenario_parser = sub.add_parser(
@@ -324,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override trials per cell (default: the document's)",
     )
     scenario_run_parser.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_non_negative_int, default=None,
         help="override the document's root seed",
     )
     _add_engine_options(scenario_run_parser)
@@ -342,28 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8765)
     serve_parser.add_argument(
-        "--batch",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "max rounds coalesced into one DSP pass (default: auto; 1 = "
-            "per-round DSP). Decisions are identical for any value."
-        ),
-    )
-    serve_parser.add_argument(
         "--queue-limit",
         type=_positive_int,
         default=256,
         metavar="N",
-        help="max rounds queued for DSP before requests get a busy error",
-    )
-    serve_parser.add_argument(
-        "--linger-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="how long the batcher waits for more concurrent rounds",
+        help=(
+            "max rounds queued for DSP before a round gets a busy error; "
+            "only rounds holding a --max-inflight slot queue, so the "
+            "limit rejects only when set below --max-inflight"
+        ),
     )
     serve_parser.add_argument(
         "--workers",
@@ -384,21 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "max rounds prepared/in detection at once (memory bound; "
-            "excess rounds wait, they are not rejected)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--dsp-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "DSP kernel backend, as for run/run-all: "
-            f"{', '.join(available_backends())}"
+            "excess rounds wait without bound, they are not rejected)"
         ),
     )
     serve_parser.add_argument(
         "--dsp-timeout-s",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="S",
         help=(
@@ -409,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-respawns",
-        type=int,
+        type=_non_negative_int,
         default=5,
         metavar="N",
         help=(
@@ -420,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--respawn-backoff-s",
-        type=float,
+        type=_non_negative_float,
         default=0.25,
         metavar="S",
         help=(
@@ -442,7 +407,6 @@ def _build_engine(args: argparse.Namespace) -> TrialEngine:
         jobs=args.jobs,
         cache=MeasurementCache(disk_dir=getattr(args, "cache_dir", None)),
         progress=progress,
-        batch_size=args.batch,
     )
 
 
@@ -507,11 +471,7 @@ def _cmd_capture(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     trials = sum(spec.n_trials for spec in specs)
-    record = partial(
-        record_cell_spec,
-        corpus=CaptureCorpus(args.corpus),
-        batch_size=args.batch,
-    )
+    record = partial(record_cell_spec, corpus=CaptureCorpus(args.corpus))
     start = time.time()
     with _build_engine(args) as engine:
         engine.map_tasks(record, specs, label="capture", trials=trials)
@@ -531,9 +491,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.corpus import ReplayingSessionRunner
     from repro.sim.pipeline import render_call_counts, reset_render_call_counts
 
-    runner = ReplayingSessionRunner(
-        args.corpus, batch_size=args.batch, strict=not args.tolerant
-    )
+    runner = ReplayingSessionRunner(args.corpus, strict=not args.tolerant)
     reset_render_call_counts()
     start = time.time()
     reports = runner.replay_all()
@@ -707,8 +665,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             loop.add_signal_handler(signum, stop.set)
 
         options = dict(
-            batch_size=args.batch,
-            linger_ms=args.linger_ms,
             queue_limit=args.queue_limit,
             max_inflight_rounds=args.max_inflight,
             dsp_timeout_s=args.dsp_timeout_s,
@@ -757,31 +713,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_dsp_backend(args: argparse.Namespace) -> None:
-    """Install the requested DSP backend, process-wide and for workers.
-
-    The env var is set *before* the engine's process pool exists, so
-    worker processes inherit the choice whether they fork or spawn.
-    """
-    name = getattr(args, "dsp_backend", None)
-    if name is None:
-        return
-    from repro.dsp.backend import select_backend, set_backend
-
-    try:
-        backend = select_backend(name)
-    except ValueError as error:
-        raise SystemExit(f"--dsp-backend: {error}") from None
-    os.environ[BACKEND_ENV_VAR] = backend.name
-    set_backend(backend)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list":
             return _cmd_list()
-        _apply_dsp_backend(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "capture":

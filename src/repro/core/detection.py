@@ -35,9 +35,7 @@ implementation therefore
   paid (measured ~2× faster on the stride-10 fine pass, bit-identical —
   pocketfft's row copy produces the very same window contents);
 * dispatches all FFT/power arithmetic through the process-wide
-  :mod:`repro.dsp.backend` kernel provider.  The default backend is the
-  bit-compatible numpy reference; the scipy ``workers=`` alternate is
-  installed only when asked for by name (see ``docs/pipeline.md``).
+  :mod:`repro.dsp.backend` kernels (numpy; see ``docs/pipeline.md``).
 
 The scan logic is split into phases (coarse powers → fine scan per
 hypothesis) so that :meth:`repro.core.action.ActionRanging.observe` can

@@ -1,13 +1,13 @@
 """Recording: run cells live and persist their rendered captures.
 
 :func:`record_cell_spec` is :func:`~repro.eval.engine.run_cell_spec` with
-capture hooks: it executes the exact same stage calls in the exact same
-order as :class:`~repro.sim.pipeline.BatchedSessionRunner` — per-session
-``negotiate`` / ``schedule`` / ``render_noise``, one ``render_arrivals``
-and one ``detect_batch`` over the batch, per-session
-``exchange_and_decide`` — so the :class:`~repro.eval.engine.CellResult`
-it returns is bit-identical to a live run, and what it writes to the
-corpus is the ground truth replay is later compared against.
+capture hooks: it runs the trials one session at a time through the
+exact stage calls of :func:`~repro.sim.pipeline.run_staged` —
+``negotiate`` / ``schedule`` / ``render_noise``, ``render_arrivals`` and
+``detect_batch`` over the session's two captures, ``exchange_and_decide``
+— so the :class:`~repro.eval.engine.CellResult` it returns is
+bit-identical to a live run, and what it writes to the corpus is the
+ground truth replay is later compared against.
 
 Per surviving trial the entry stores everything the replay path needs to
 re-enter the pipeline *after* the render stage:
@@ -48,7 +48,7 @@ from repro.acoustics.noise import NoiseModel
 from repro.core.config import ProtocolConfig
 from repro.dsp.backend import get_backend
 from repro.eval.engine import CellResult, TrialSpec, build_trial_session
-from repro.sim.pipeline.batch import DEFAULT_BATCH_SIZE, detect_batch
+from repro.sim.pipeline.batch import detect_batch
 from repro.sim.pipeline.stages import (
     exchange_and_decide,
     negotiate,
@@ -176,73 +176,46 @@ def _versions() -> dict:
     }
 
 
-def record_cell_spec(
-    spec: TrialSpec,
-    corpus: CaptureCorpus,
-    batch_size: int | None = None,
-) -> CellResult:
+def record_cell_spec(spec: TrialSpec, corpus: CaptureCorpus) -> CellResult:
     """Execute one cell live, persist its captures, return its result.
 
-    Stage calls and their order mirror
-    :class:`~repro.sim.pipeline.BatchedSessionRunner` exactly, so the
-    returned cell is bit-identical to
-    :func:`~repro.eval.engine.run_cell_spec` at the same ``batch_size``
-    semantics — and identical across batch sizes, as every execution mode
-    is (each capture renders and is observed on its own).
+    One trial at a time, through the stage calls of
+    :func:`~repro.sim.pipeline.run_staged`, so the returned cell is
+    bit-identical to :func:`~repro.eval.engine.run_cell_spec`.
     """
-    size = batch_size or DEFAULT_BATCH_SIZE
-    outcomes: list = [None] * spec.n_trials
-    trial_meta: dict[int, dict] = {}
+    cell = CellResult(environment=spec.env_name, distance_m=spec.distance_m)
+    trial_meta: list[dict] = []
     arrays: dict[str, np.ndarray] = {}
 
-    for start in range(0, spec.n_trials, size):
-        pending: list[tuple] = []
-        planned = []
-        for trial in range(start, min(start + size, spec.n_trials)):
-            session = build_trial_session(spec, trial)
-            ctx, rng = session.context, session.rng
-            negotiation = negotiate(ctx, rng)
-            if session.artifacts is not None:
-                session.artifacts.signals = negotiation.signals
-            if negotiation.failure is not None:
-                outcomes[trial] = negotiation.failure
-                trial_meta[trial] = {
+    for trial in range(spec.n_trials):
+        session = build_trial_session(spec, trial)
+        ctx, rng = session.context, session.rng
+        negotiation = negotiate(ctx, rng)
+        if negotiation.failure is not None:
+            cell.add(negotiation.failure)
+            trial_meta.append(
+                {
                     "trial": trial,
                     "failed_stage": "negotiate",
                     "outcome": outcome_to_json(negotiation.failure),
                 }
-                continue
-            plan = schedule(ctx, negotiation, rng)
-            planned.append(render_noise(ctx, plan, rng))
-            # Snapshot the stream position the exchange stage resumes
-            # from; deep-copied because the generator mutates in place.
-            rng_state = copy.deepcopy(rng.bit_generator.state)
-            pending.append((trial, session, negotiation, rng_state))
-
-        rendered = render_arrivals(planned)
-        detections = detect_batch(
-            [
-                (session.context, negotiation, recordings)
-                for (_, session, negotiation, _), recordings in zip(
-                    pending, rendered
-                )
-            ]
-        )
-        for (trial, session, negotiation, rng_state), recordings, pair in zip(
-            pending, rendered, detections
-        ):
-            outcome = exchange_and_decide(
-                session.context,
-                negotiation,
-                pair,
-                session.rng,
-                session.artifacts,
             )
-            outcomes[trial] = outcome
-            signals = negotiation.signals
-            arrays[f"t{trial}_auth"] = encode_recording(recordings.auth)
-            arrays[f"t{trial}_vouch"] = encode_recording(recordings.vouch)
-            trial_meta[trial] = {
+            continue
+        planned = render_noise(ctx, schedule(ctx, negotiation, rng), rng)
+        # Snapshot the stream position the exchange stage resumes from;
+        # deep-copied because the generator mutates in place.
+        rng_state = copy.deepcopy(rng.bit_generator.state)
+        (recordings,) = render_arrivals([planned])
+        (pair,) = detect_batch([(ctx, negotiation, recordings)])
+        outcome = exchange_and_decide(
+            ctx, negotiation, pair, rng, session.artifacts
+        )
+        cell.add(outcome)
+        signals = negotiation.signals
+        arrays[f"t{trial}_auth"] = encode_recording(recordings.auth)
+        arrays[f"t{trial}_vouch"] = encode_recording(recordings.vouch)
+        trial_meta.append(
+            {
                 "trial": trial,
                 "init_latency_s": negotiation.init_latency_s,
                 "auth_indices": [
@@ -254,14 +227,7 @@ def record_cell_spec(
                 "rng_state": rng_state,
                 "outcome": outcome_to_json(outcome),
             }
-
-    cell = CellResult(environment=spec.env_name, distance_m=spec.distance_m)
-    for outcome in outcomes:
-        cell.outcomes.append(outcome)
-        if outcome.ok:
-            cell.stats.add(outcome.require_distance() - spec.distance_m)
-        else:
-            cell.stats.add_not_present()
+        )
 
     spec_manifest = spec_to_manifest(spec)
     manifest = {
@@ -275,7 +241,7 @@ def record_cell_spec(
         "spec_repr": repr(spec),
         "backend": get_backend().name,
         "versions": _versions(),
-        "trials": [trial_meta[t] for t in range(spec.n_trials)],
+        "trials": trial_meta,
     }
     corpus.write_entry(spec.fingerprint(), manifest, arrays)
     return cell

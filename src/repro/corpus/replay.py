@@ -15,7 +15,7 @@ trial it:
    ``schedule`` / ``render_noise`` / ``render_arrivals`` never run, which
    keeps :func:`repro.sim.pipeline.render_call_counts` untouched;
 4. runs the shared detection seam
-   (:func:`repro.sim.pipeline.detect_batch` — the very code live batches
+   (:func:`repro.sim.pipeline.detect_batch` — the very code live rounds
    use) and, after restoring the session RNG to the stored post-render
    stream position, the terminal ``exchange_and_decide`` stage.
 
@@ -24,7 +24,7 @@ byte-for-byte against the recorded one via
 :func:`~repro.corpus.codec.canonical_outcome_json`; any difference raises
 :class:`ReplayMismatchError` — the cross-version regression signal.  In
 **tolerant** mode mismatches are counted instead of raised, for replaying
-a corpus under a deliberately different detector or numeric backend.
+a corpus under a deliberately different detector.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.core.action import SignalPair
 from repro.core.signal_construction import signal_from_indices
 from repro.eval.engine import CellResult, TrialSpec, build_trial_session
-from repro.sim.pipeline.batch import DEFAULT_BATCH_SIZE, detect_batch
+from repro.sim.pipeline.batch import detect_batch
 from repro.sim.pipeline.stages import (
     NegotiationResult,
     RenderedRecordings,
@@ -98,9 +98,6 @@ class ReplayingSessionRunner:
     ----------
     corpus:
         The store (or its root path) to replay from.
-    batch_size:
-        Trials detected together per pass, as everywhere else; replayed
-        results are bit-identical for every value.
     strict:
         Compare every replayed decision byte-for-byte against the
         recorded one and raise :class:`ReplayMismatchError` on any
@@ -110,13 +107,11 @@ class ReplayingSessionRunner:
     def __init__(
         self,
         corpus: CaptureCorpus | str,
-        batch_size: int | None = None,
         strict: bool = True,
     ) -> None:
         if not isinstance(corpus, CaptureCorpus):
             corpus = CaptureCorpus(corpus, create=False)
         self.corpus = corpus
-        self.batch_size = batch_size or DEFAULT_BATCH_SIZE
         self.strict = strict
 
     # ------------------------------------------------------------------
@@ -168,6 +163,12 @@ class ReplayingSessionRunner:
                 f"trials for an {spec.n_trials}-trial cell",
                 fingerprint=fingerprint,
             )
+        numbers = [t.get("trial") if isinstance(t, dict) else None for t in trials]
+        if numbers != list(range(spec.n_trials)):
+            raise CorpusIntegrityError(
+                f"manifest trials are numbered {numbers}, not 0..n-1 in order",
+                fingerprint=fingerprint,
+            )
 
         replayable = [t for t in trials if "failed_stage" not in t]
         arrays = (
@@ -182,7 +183,6 @@ class ReplayingSessionRunner:
                         fingerprint=fingerprint,
                     )
 
-        outcomes: list = [None] * spec.n_trials
         report = ReplayReport(
             fingerprint=fingerprint,
             environment=spec.env_name,
@@ -191,73 +191,43 @@ class ReplayingSessionRunner:
                 environment=spec.env_name, distance_m=spec.distance_m
             ),
         )
-
         for meta in trials:
             if "failed_stage" in meta:
-                outcomes[meta["trial"]] = outcome_from_json(meta["outcome"])
+                report.cell.add(outcome_from_json(meta["outcome"]))
                 report.restored_trials += 1
-
-        for start in range(0, len(replayable), self.batch_size):
-            batch = replayable[start : start + self.batch_size]
-            prepared = []
-            for meta in batch:
-                trial = meta["trial"]
-                session = build_trial_session(spec, trial)
-                ctx = session.context
-                negotiation = NegotiationResult(
-                    signals=SignalPair(
-                        auth=signal_from_indices(
-                            meta["auth_indices"], ctx.config
-                        ),
-                        vouch=signal_from_indices(
-                            meta["vouch_indices"], ctx.config
-                        ),
+                continue
+            trial = meta["trial"]
+            session = build_trial_session(spec, trial)
+            ctx = session.context
+            negotiation = NegotiationResult(
+                signals=SignalPair(
+                    auth=signal_from_indices(meta["auth_indices"], ctx.config),
+                    vouch=signal_from_indices(
+                        meta["vouch_indices"], ctx.config
                     ),
-                    init_latency_s=meta["init_latency_s"],
-                )
-                recordings = RenderedRecordings(
-                    auth=decode_recording(arrays[f"t{trial}_auth"]),
-                    vouch=decode_recording(arrays[f"t{trial}_vouch"]),
-                )
-                prepared.append((meta, session, negotiation, recordings))
-
-            detections = detect_batch(
-                [
-                    (session.context, negotiation, recordings)
-                    for _, session, negotiation, recordings in prepared
-                ]
+                ),
+                init_latency_s=meta["init_latency_s"],
             )
-            for (meta, session, negotiation, _), pair in zip(
-                prepared, detections
-            ):
-                trial = meta["trial"]
-                # Resume the session stream exactly where the live run's
-                # render stage left it, so the exchange stage's
-                # report-transfer draw matches bit for bit.
-                session.rng.bit_generator.state = meta["rng_state"]
-                outcome = exchange_and_decide(
-                    session.context,
-                    negotiation,
-                    pair,
-                    session.rng,
-                    session.artifacts,
-                )
-                outcomes[trial] = outcome
-                report.replayed_trials += 1
-                replayed = canonical_outcome_json(outcome_to_json(outcome))
-                recorded = canonical_outcome_json(meta["outcome"])
-                if replayed != recorded:
-                    if self.strict:
-                        raise ReplayMismatchError(
-                            fingerprint, trial, recorded, replayed
-                        )
-                    report.mismatches.append(trial)
-
-        cell = report.cell
-        for outcome in outcomes:
-            cell.outcomes.append(outcome)
-            if outcome.ok:
-                cell.stats.add(outcome.require_distance() - spec.distance_m)
-            else:
-                cell.stats.add_not_present()
+            recordings = RenderedRecordings(
+                auth=decode_recording(arrays[f"t{trial}_auth"]),
+                vouch=decode_recording(arrays[f"t{trial}_vouch"]),
+            )
+            (pair,) = detect_batch([(ctx, negotiation, recordings)])
+            # Resume the session stream exactly where the live run's
+            # render stage left it, so the exchange stage's
+            # report-transfer draw matches bit for bit.
+            session.rng.bit_generator.state = meta["rng_state"]
+            outcome = exchange_and_decide(
+                ctx, negotiation, pair, session.rng, session.artifacts
+            )
+            report.cell.add(outcome)
+            report.replayed_trials += 1
+            replayed = canonical_outcome_json(outcome_to_json(outcome))
+            recorded = canonical_outcome_json(meta["outcome"])
+            if replayed != recorded:
+                if self.strict:
+                    raise ReplayMismatchError(
+                        fingerprint, trial, recorded, replayed
+                    )
+                report.mismatches.append(trial)
         return report

@@ -8,9 +8,8 @@ Layout under one corpus root::
 
 The address is the cell's :meth:`~repro.eval.engine.TrialSpec.fingerprint`
 — the same content hash the :class:`~repro.eval.engine.MeasurementCache`
-keys on — so an entry recorded by any invocation (any ``--jobs``, any
-``--batch``) is found again by every later replay of the same
-computation.
+keys on — so an entry recorded by any invocation (any ``--jobs``) is
+found again by every later replay of the same computation.
 
 Two properties the writers guarantee:
 

@@ -1,36 +1,27 @@
-"""Pluggable DSP kernel backends for the ranging hot paths.
+"""The DSP kernels behind the ranging hot paths.
 
-Every spectral hot path — the detector's batched ``rfft``/window-power
-passes, the mixer's arrival convolutions, the noise-shaping ``sosfilt`` —
-calls through a process-wide :class:`DSPBackend` instead of numpy/scipy
-directly.  See :mod:`repro.dsp.backend.base` for the kernel contract and
-:mod:`repro.dsp.backend.select` for the selection machinery.
+Every spectral hot path — the detector's ``rfft``/window-power passes,
+the mixer's arrival convolutions, the noise-shaping ``sosfilt`` — calls
+through the process-wide :class:`DSPBackend` instead of numpy/scipy
+directly.  See :mod:`repro.dsp.backend.base` for the kernel contract.
 
-Invariants every caller may rely on (and every new backend must honor):
+There is one set of kernels, :class:`NumpyBackend`, and every run uses
+it.  The seam stays so that a wrapper (a counting or tracing backend)
+can be installed around it with :func:`set_backend` / :func:`use_backend`.
 
-1. **The numpy backend is the bit-compatible reference** — each of its
-   kernels performs exactly the pre-backend-seam arithmetic, so results
-   under it define what "correct bits" means for the whole repo.
-2. **The default never changes bits** — with no explicit choice
-   (``--dsp-backend`` / :func:`set_backend` / ``REPRO_DSP_BACKEND``), the
-   numpy reference is installed; experiment tables therefore never change
-   bytes unless a backend is asked for by name.
-3. **Named backends have a documented tolerance** — an explicitly
-   selected non-reference backend (scipy) may round differently but
-   must stay within 1e-10 relative of the reference
-   (``tests/test_dsp_backend.py``).
-4. **Kernels are row-wise independent and stateless** — batching,
-   chunking (``fft_chunk_windows`` / ``REPRO_DSP_CHUNK``, never leaving
-   a lone window), and threading (scipy ``workers=``, the DSP lanes of
-   :mod:`repro.dsp.lanes`) are dispatch decisions that cannot change any
-   row's bits, which is what makes cross-session batching and running
-   captures on several threads at once safe.
+Invariants every caller may rely on:
 
-Selection precedence: explicit > ``REPRO_DSP_BACKEND`` > numpy.
+1. **The numpy kernels are the reference** — each performs exactly the
+   pre-backend-seam arithmetic, so they define what "correct bits" means
+   for the whole repo.
+2. **Kernels are row-wise independent and stateless** — chunking
+   (``fft_chunk_windows``, never leaving a lone window) and threading
+   (the DSP lanes of :mod:`repro.dsp.lanes`) are dispatch decisions that
+   cannot change any row's bits, which is what makes running captures on
+   several threads at once safe.
 
-The package exports lazily (PEP 562), so importing it loads no numpy:
-``from repro.dsp.backend import available_backends`` costs only the
-registry in :mod:`repro.dsp.backend.select`.
+The package exports lazily (PEP 562), so importing it loads no numpy
+until a name that needs it is used.
 """
 
 from __future__ import annotations
@@ -40,14 +31,8 @@ from repro import _lazy_exports
 __all__ = [
     "DSPBackend",
     "NumpyBackend",
-    "ScipyBackend",
-    "BACKEND_ENV_VAR",
-    "CHUNK_ENV_VAR",
     "DEFAULT_FFT_CHUNK_WINDOWS",
-    "available_backends",
-    "create_backend",
     "get_backend",
-    "select_backend",
     "set_backend",
     "use_backend",
 ]
@@ -56,17 +41,11 @@ __all__ = [
 #: first access.
 _EXPORTS = {
     "DSPBackend": "repro.dsp.backend.base",
-    "CHUNK_ENV_VAR": "repro.dsp.backend.base",
     "DEFAULT_FFT_CHUNK_WINDOWS": "repro.dsp.backend.base",
     "NumpyBackend": "repro.dsp.backend.numpy_backend",
-    "ScipyBackend": "repro.dsp.backend.scipy_backend",
-    "BACKEND_ENV_VAR": "repro.dsp.backend.select",
-    "available_backends": "repro.dsp.backend.select",
-    "create_backend": "repro.dsp.backend.select",
-    "get_backend": "repro.dsp.backend.select",
-    "select_backend": "repro.dsp.backend.select",
-    "set_backend": "repro.dsp.backend.select",
-    "use_backend": "repro.dsp.backend.select",
+    "get_backend": "repro.dsp.backend.current",
+    "set_backend": "repro.dsp.backend.current",
+    "use_backend": "repro.dsp.backend.current",
 }
 
 __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,54 +1,39 @@
-"""Kernel contract of the pluggable DSP backend layer.
+"""Kernel contract of the DSP backend layer.
 
 Every spectral hot path of the reproduction — the detector's window-batch
 power evaluation (:meth:`repro.core.detection.FrequencyDetector
 .candidate_powers`), the acoustic mixer's channel convolutions, and the
-background-noise shaping filter — routes
-through one of the kernels below instead of calling numpy/scipy directly.
-A backend is a stateless provider of those kernels; swapping backends can
-change *how fast* the kernels run and (for non-default backends) their
-floating-point rounding, but never their shapes or semantics.
+background-noise shaping filter — routes through one of the kernels
+below instead of calling numpy/scipy directly.
 
 The contract that keeps the pipeline's determinism guarantees intact:
 
-* :class:`~repro.dsp.backend.numpy_backend.NumpyBackend` is the
-  **bit-compatible reference**: its kernels perform exactly the arithmetic
-  the pre-backend code performed (``np.fft.rfft``, the
-  ``(2·|X|/N)²``-and-sum power formula, per-row ``np.convolve``,
-  ``scipy.signal.sosfilt``), so results are byte-identical to the
-  pre-backend implementation on every host.
-* The alternate backend (scipy-with-workers) may substitute faster
-  kernels whose outputs agree within documented float tolerance (see
-  ``docs/pipeline.md``).  It is installed only when asked for by name,
-  via ``--dsp-backend`` or the env var; the default is always numpy.
+* :class:`~repro.dsp.backend.numpy_backend.NumpyBackend` is the one set
+  of kernels: they perform exactly the arithmetic the pre-backend code
+  performed (``np.fft.rfft``, the ``(2·|X|/N)²``-and-sum power formula,
+  per-row ``np.convolve``, ``scipy.signal.sosfilt``), so results are
+  byte-identical to the pre-backend implementation on every host.
 * Kernel results are row-wise independent, so chunking
-  (``fft_chunk_windows``: :data:`DEFAULT_FFT_CHUNK_WINDOWS` unless
-  ``REPRO_DSP_CHUNK`` or the constructor sets it) never changes an
-  output bit — provided no chunk holds a lone window of a longer run:
-  ``window_powers`` sums a one-window batch's aggregation bins in a
-  different order, so the detector folds a one-window remainder into
-  the chunk before it, and the ceiling must be at least 2.
+  (``fft_chunk_windows``: :data:`DEFAULT_FFT_CHUNK_WINDOWS` unless the
+  constructor sets it) never changes an output bit — provided no chunk
+  holds a lone window of a longer run: ``window_powers`` sums a
+  one-window batch's aggregation bins in a different order, so the
+  detector folds a one-window remainder into the chunk before it, and
+  the ceiling must be at least 2.
 * Instances are shared by the DSP lanes (:mod:`repro.dsp.lanes`): a
   kernel may run on several threads at once.
 
-``window_powers`` is deliberately defined on the base class in terms of
-``self.rfft`` plus the exact reference power arithmetic: an FFT-only
-backend (the common case) inherits correct, bit-stable power evaluation
-for free, and only backends that want to fuse or re-associate the power
-reduction override it.
+``window_powers`` and ``convolve_batch`` are defined on the base class
+in terms of ``self.rfft`` / ``self.convolve`` plus the exact reference
+arithmetic, so a wrapper that only intercepts the primitive kernels
+still computes the same bits.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["DSPBackend", "CHUNK_ENV_VAR", "DEFAULT_FFT_CHUNK_WINDOWS"]
-
-#: Environment override for the FFT dispatch ceiling (an int; the number
-#: of windows per FFT kernel call).
-CHUNK_ENV_VAR = "REPRO_DSP_CHUNK"
+__all__ = ["DSPBackend", "DEFAULT_FFT_CHUNK_WINDOWS"]
 
 #: Default windows-per-dispatch ceiling.  It bounds the transient
 #: spectrum block of one dispatch (64 × 2049 complex bins ≈ 2 MB), so
@@ -64,27 +49,22 @@ DEFAULT_FFT_CHUNK_WINDOWS = 64
 class DSPBackend:
     """Base class for DSP kernel providers.
 
-    Subclasses override :meth:`rfft` (and optionally the other kernels)
-    and set :attr:`name`.  Instances are cheap, stateless, and shared
-    across the DSP lanes' threads.  :attr:`fft_chunk_windows` is fixed at
-    construction: the ``fft_chunk_windows`` argument, else the
-    ``REPRO_DSP_CHUNK`` environment variable, else
+    Subclasses override :meth:`rfft` and :meth:`convolve` and set
+    :attr:`name`.  Instances are cheap, stateless, and shared across the
+    DSP lanes' threads.  :attr:`fft_chunk_windows` is fixed at
+    construction: the ``fft_chunk_windows`` argument, else
     :data:`DEFAULT_FFT_CHUNK_WINDOWS`.
     """
 
-    #: Registry key and ``--dsp-backend`` spelling.
+    #: Backend name, recorded in capture-corpus manifests.
     name: str = "base"
 
-    #: Whether the backend's kernels are bit-compatible with the numpy
-    #: reference *by construction* (true only for NumpyBackend).  Other
-    #: backends may still measure bit-identical on a given host but make
-    #: no standing promise.
+    #: Whether the kernels are bit-compatible with the numpy reference
+    #: *by construction* (true for NumpyBackend; a wrapper copies its
+    #: inner backend's value).
     bit_compatible: bool = False
 
     def __init__(self, fft_chunk_windows: int | None = None) -> None:
-        env_chunk = os.environ.get(CHUNK_ENV_VAR)
-        if fft_chunk_windows is None and env_chunk:
-            fft_chunk_windows = int(env_chunk)
         if fft_chunk_windows is not None and fft_chunk_windows < 2:
             raise ValueError(
                 f"fft_chunk_windows must be >= 2, got {fft_chunk_windows}"
@@ -129,9 +109,8 @@ class DSPBackend:
         Returns
         -------
         numpy.ndarray
-            ``(n_windows, n_candidates)`` float64 matrix.  The base
-            implementation performs the exact reference arithmetic; only
-            the FFT kernel varies per backend.
+            ``(n_windows, n_candidates)`` float64 matrix, by the exact
+            reference arithmetic over :meth:`rfft`.
         """
         spectra = self.rfft(windows, axis=1)
         gathered = spectra[:, rfft_bins]
@@ -140,24 +119,6 @@ class DSPBackend:
     def convolve(self, signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
         """Full 1-D convolution (``np.convolve`` semantics)."""
         raise NotImplementedError
-
-    @staticmethod
-    def _validate_convolve_batch(
-        signals: np.ndarray, taps: np.ndarray, dtype=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared shape validation/coercion for ``convolve_batch``."""
-        signals = np.asarray(signals, dtype=dtype)
-        taps = np.asarray(taps, dtype=dtype)
-        if signals.ndim != 2 or taps.ndim != 2:
-            raise ValueError(
-                "convolve_batch expects 2-D stacks, got shapes "
-                f"{signals.shape} and {taps.shape}"
-            )
-        if signals.shape[0] != taps.shape[0]:
-            raise ValueError(
-                f"{signals.shape[0]} signals but {taps.shape[0]} tap rows"
-            )
-        return signals, taps
 
     def convolve_batch(
         self, signals: np.ndarray, taps: np.ndarray
@@ -179,10 +140,19 @@ class DSPBackend:
         -------
         numpy.ndarray
             ``(batch, n + m - 1)`` stack; row ``b`` equals
-            ``self.convolve(signals[b], taps[b])`` for the numpy
-            reference backend (other backends: within tolerance).
+            ``self.convolve(signals[b], taps[b])``.
         """
-        signals, taps = self._validate_convolve_batch(signals, taps)
+        signals = np.asarray(signals)
+        taps = np.asarray(taps)
+        if signals.ndim != 2 or taps.ndim != 2:
+            raise ValueError(
+                "convolve_batch expects 2-D stacks, got shapes "
+                f"{signals.shape} and {taps.shape}"
+            )
+        if signals.shape[0] != taps.shape[0]:
+            raise ValueError(
+                f"{signals.shape[0]} signals but {taps.shape[0]} tap rows"
+            )
         out = np.empty(
             (signals.shape[0], signals.shape[1] + taps.shape[1] - 1),
             dtype=np.result_type(signals.dtype, taps.dtype, np.float64),
@@ -194,10 +164,10 @@ class DSPBackend:
     def sosfilt(self, sos: np.ndarray, signal: np.ndarray) -> np.ndarray:
         """Second-order-section IIR filtering along the last axis.
 
-        scipy's implementation is the reference (and currently only)
-        kernel; it requires a writable coefficient array, so frozen
-        cached designs (:func:`repro.acoustics.noise._lowpass_sos`) are
-        copied here rather than forcing every caller to.
+        scipy's implementation is the kernel; it requires a writable
+        coefficient array, so frozen cached designs
+        (:func:`repro.acoustics.noise._lowpass_sos`) are copied here
+        rather than forcing every caller to.
         """
         from scipy import signal as sp_signal
 

@@ -1,10 +1,10 @@
-"""The bit-compatible numpy reference backend (the default).
+"""The numpy kernels: the one backend every run uses.
 
 Every kernel performs exactly the arithmetic the pre-backend hot paths
 performed, so routing through this backend is byte-identical to the code
 it replaced on every host — the anchor for the pipeline's determinism
 guarantees (serial == staged == batched, and experiment tables invariant
-under ``--jobs``/``--batch``).
+under ``--jobs``).
 """
 
 from __future__ import annotations

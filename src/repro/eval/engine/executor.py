@@ -23,7 +23,6 @@ import copy
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
-from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -31,7 +30,6 @@ from repro.acoustics.environment import Environment
 from repro.core.config import ProtocolConfig
 from repro.dsp.lanes import share_cpus
 from repro.sim.geometry import Point, Room
-from repro.sim.pipeline import BatchedSessionRunner
 from repro.sim.world import AcousticWorld
 
 from repro.eval.engine.cache import MeasurementCache
@@ -98,40 +96,20 @@ def build_trial_session(spec: TrialSpec, trial: int):
     return world.ranging_session(AUTH, VOUCH, providers, engine=spec.engine)
 
 
-def run_cell_spec(
-    spec: TrialSpec, batch_size: int | None = None
-) -> CellResult:
+def run_cell_spec(spec: TrialSpec) -> CellResult:
     """Execute one cell: ``spec.n_trials`` independent ranging rounds.
 
     Module-level (picklable) so pool workers can run it; each trial gets a
     fresh world derived deterministically from the spec content.
 
-    ``batch_size`` selects how many sessions run stage by stage together
-    (``None`` = the pipeline's auto default, ``1`` = the per-session
-    staged path).  Every trial keeps its own ``derive_seed`` RNG stream,
-    so the outcomes are bit-identical for every batch size.
-
-    Worlds and sessions are built lazily as the runner consumes them, so
-    a cell's peak memory is O(batch_size) sessions — a trial's world and
-    its two capture buffers die with its batch, never pinned for the
-    whole cell.
+    Trials run one session at a time (``RangingSession.run``), so a
+    trial's world and its two capture buffers die before the next trial
+    is built; the round's two captures still render and are observed on
+    the process's DSP lanes.
     """
     cell = CellResult(environment=spec.env_name, distance_m=spec.distance_m)
-
-    def sessions():
-        for trial in range(spec.n_trials):
-            yield build_trial_session(spec, trial)
-
-    if batch_size == 1:
-        outcomes = [session.run() for session in sessions()]
-    else:
-        outcomes = BatchedSessionRunner(batch_size).run(sessions())
-    for outcome in outcomes:
-        cell.outcomes.append(outcome)
-        if outcome.ok:
-            cell.stats.add(outcome.require_distance() - spec.distance_m)
-        else:
-            cell.stats.add_not_present()
+    for trial in range(spec.n_trials):
+        cell.add(build_trial_session(spec, trial).run())
     return cell
 
 
@@ -190,13 +168,6 @@ class TrialEngine:
         deduplicate common measurements.
     progress:
         Optional callback receiving human-readable progress lines.
-    chunk_size:
-        Cells per pool dispatch; ``None`` auto-sizes for load balance.
-    batch_size:
-        Sessions per pipeline batch inside each cell (the CLI's
-        ``--batch``).  ``None`` = the pipeline's auto default; ``1``
-        forces the per-session staged path.  Results are bit-identical
-        for every value.
     """
 
     def __init__(
@@ -204,21 +175,13 @@ class TrialEngine:
         jobs: int | None = 1,
         cache: MeasurementCache | None = None,
         progress: Callable[[str], None] | None = None,
-        chunk_size: int | None = None,
-        batch_size: int | None = None,
     ) -> None:
         resolved = os.cpu_count() or 1 if jobs is None else jobs
         if resolved < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
         self.jobs = resolved
         self.cache = cache if cache is not None else MeasurementCache()
         self.progress = progress
-        self.chunk_size = chunk_size
-        self.batch_size = batch_size
         self.counters = EngineCounters()
         self._pool: ProcessPoolExecutor | None = None
 
@@ -319,7 +282,7 @@ class TrialEngine:
             self.counters.trials_cached += spec.n_trials
             return value
         start = perf_counter()
-        cell = run_cell_spec(spec, self.batch_size)
+        cell = run_cell_spec(spec)
         self.cache.put(key, cell)
         self.counters.cells_executed += 1
         self.counters.trials_executed += spec.n_trials
@@ -329,10 +292,11 @@ class TrialEngine:
     def _execute_specs(
         self, specs: list[TrialSpec], label: str
     ) -> list[CellResult]:
-        run = partial(run_cell_spec, batch_size=self.batch_size)
         if self.jobs == 1 or len(specs) == 1:
-            return [run(spec) for spec in specs]
-        parts = self._dispatch(self._chunk(specs), label, len(specs), run)
+            return [run_cell_spec(spec) for spec in specs]
+        parts = self._dispatch(
+            self._chunk(specs), label, len(specs), run_cell_spec
+        )
         return [cell for part in parts for cell in part]
 
     # ------------------------------------------------------------------
@@ -385,10 +349,7 @@ class TrialEngine:
         world-build overhead per dispatch; a handful of batches per worker
         keeps the pool busy while amortizing that cost.
         """
-        if self.chunk_size is not None:
-            size = self.chunk_size
-        else:
-            size = max(1, len(items) // (self.jobs * 4))
+        size = max(1, len(items) // (self.jobs * 4))
         return [items[i : i + size] for i in range(0, len(items), size)]
 
     def _dispatch(

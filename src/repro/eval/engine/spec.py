@@ -68,6 +68,14 @@ class CellResult:
     outcomes: list[RangingOutcome] = field(default_factory=list)
     stats: ErrorStats = field(default_factory=ErrorStats)
 
+    def add(self, outcome: RangingOutcome) -> None:
+        """Append one trial's outcome and fold it into the error stats."""
+        self.outcomes.append(outcome)
+        if outcome.ok:
+            self.stats.add(outcome.require_distance() - self.distance_m)
+        else:
+            self.stats.add_not_present()
+
 
 # Closures/lambdas get a never-recycled per-instance token.  Bare id()
 # would collide once the allocator reuses a freed address, silently

@@ -54,8 +54,10 @@ Contracts (details in ``docs/service.md``):
 * **Throughput** — every pass renders and detects its captures on the
   process's DSP lanes (:mod:`repro.dsp.lanes`), so even one round uses
   a CPU per capture.
-* **Backpressure** — a bounded round queue; excess requests receive a
-  ``busy`` error instead of unbounded queueing.
+* **Backpressure** — at most ``max_inflight_rounds`` rounds are prepared
+  or in DSP at once, and later rounds wait for a slot; a round that
+  finds the DSP queue full receives a ``busy`` error, which at the
+  defaults (32 slots, a queue of 256) cannot happen.
 * **Graceful shutdown** — draining finishes accepted streams, answers
   new requests with ``busy``, and closes the DSP threads.
 * **Fail closed** — every failure path (deadline expiry, DSP timeout,

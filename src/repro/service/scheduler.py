@@ -4,9 +4,10 @@ The request path of the service (``repro.service.server``) runs the
 RNG-bound stages — ``negotiate``, ``schedule``, ``render_noise`` — inline
 on the event loop, then hands the round's pure-data remainder to a
 :class:`BatchingScheduler`.  The scheduler's collector task gathers every
-round pending at that moment (up to ``max_batch``, lingering
-``linger_ms`` for stragglers) and executes the deterministic half of the
-pipeline — :func:`~repro.sim.pipeline.render_arrivals` plus
+round pending at that moment (up to :data:`MAX_ROUNDS_PER_PASS`,
+lingering at most :data:`MAX_LINGER_S` while announced rounds are still
+on their way) and executes the deterministic half of the pipeline —
+:func:`~repro.sim.pipeline.render_arrivals` plus
 :func:`~repro.sim.pipeline.detect_batch` — as **one** pass on the
 scheduler's DSP thread, which spreads the pass's captures over the
 process's DSP lanes (:mod:`repro.dsp.lanes`), so even a lone round's two
@@ -46,7 +47,6 @@ from typing import Sequence
 
 from repro.service.faults import FaultInjector
 from repro.sim.pipeline import (
-    DEFAULT_BATCH_SIZE,
     DetectionPair,
     NegotiationResult,
     PlannedRender,
@@ -59,9 +59,21 @@ from repro.sim.pipeline import (
 __all__ = [
     "BatchingScheduler",
     "DeadlineExceeded",
+    "MAX_LINGER_S",
+    "MAX_ROUNDS_PER_PASS",
     "SchedulerStats",
     "ServiceOverloaded",
 ]
+
+#: Most rounds one DSP pass carries.  Coalescing pays on a loaded
+#: server: one round per pass lowered serve-hot rounds/s and raised its
+#: p95 in 4 of 4 alternating benchmark pairs (2-CPU host).
+MAX_ROUNDS_PER_PASS = 16
+
+#: Longest the collector gathers a pass, and only while announced rounds
+#: are outstanding.  Coalescing whatever is queued, with no announce
+#: rule, raised serve-hot p50 in 5 of 6 pairs.
+MAX_LINGER_S = 0.005
 
 
 class ServiceOverloaded(RuntimeError):
@@ -175,18 +187,12 @@ class BatchingScheduler:
     gets a lane per CPU; shard workers of ``--workers N`` share the CPUs
     and get a 1/N share each.
 
+    A pass carries at most :data:`MAX_ROUNDS_PER_PASS` rounds; the
+    collector lingers for more only while announced rounds are
+    outstanding, and for at most :data:`MAX_LINGER_S`.
+
     Parameters
     ----------
-    max_batch:
-        Rounds per pass; ``None`` selects the pipeline's
-        :data:`~repro.sim.pipeline.DEFAULT_BATCH_SIZE`.  ``1`` disables
-        coalescing (each round renders and detects solo — the
-        "batching off" benchmark configuration); results are
-        bit-identical for every value.
-    linger_ms:
-        After the first pending round is picked up, how long the
-        collector waits for more before dispatching a partial batch.
-        Bounds worst-case added latency for a lone request.
     max_pending:
         Queue limit; further :meth:`run_round` calls raise
         :class:`ServiceOverloaded` until the backlog drains.
@@ -206,27 +212,19 @@ class BatchingScheduler:
 
     def __init__(
         self,
-        max_batch: int | None = None,
         *,
-        linger_ms: float = 5.0,
         max_pending: int = 256,
         dsp_timeout_s: float | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
-        if max_batch is not None and max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending!r}")
-        if linger_ms < 0:
-            raise ValueError(f"linger_ms must be >= 0, got {linger_ms!r}")
         if dsp_timeout_s is not None and dsp_timeout_s <= 0:
             raise ValueError(
                 f"dsp_timeout_s must be > 0, got {dsp_timeout_s!r}"
             )
-        self.max_batch = max_batch or DEFAULT_BATCH_SIZE
         self.dsp_timeout_s = dsp_timeout_s
         self.faults = faults
-        self.linger_s = linger_ms / 1000.0
         self.max_pending = max_pending
         self.stats = SchedulerStats()
         #: Rounds announced (via :meth:`announce`) but not yet submitted:
@@ -360,7 +358,7 @@ class BatchingScheduler:
             await self._dispatch(batch, loop.time() - picked_up)
 
     async def _gather_more(self, batch: list[_PendingRound]) -> None:
-        """Fill ``batch`` up to ``max_batch`` from work that is ready now.
+        """Fill ``batch`` up to :data:`MAX_ROUNDS_PER_PASS` from ready work.
 
         Announced-work-aware, timer-free lingering: while announced
         rounds are outstanding, yield one cooperative loop cycle
@@ -368,17 +366,16 @@ class BatchingScheduler:
         submits, then drain again.  The moment a full cycle produces
         nothing new — the remaining announced rounds are blocked on
         something slower than a loop cycle — the batch dispatches; an
-        isolated round therefore never waits at all, and ``linger_ms``
-        only caps the total gathering time under pathological load.
+        isolated round therefore never waits at all, and
+        :data:`MAX_LINGER_S` only caps the total gathering time under
+        pathological load.
         """
-        if self.max_batch <= 1:
-            return
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.linger_s
-        while len(batch) < self.max_batch:
+        deadline = loop.time() + MAX_LINGER_S
+        while len(batch) < MAX_ROUNDS_PER_PASS:
             # Drain whatever is already pending without yielding.
             try:
-                while len(batch) < self.max_batch:
+                while len(batch) < MAX_ROUNDS_PER_PASS:
                     batch.append(self._queue.get_nowait())
                 return
             except asyncio.QueueEmpty:

@@ -222,17 +222,12 @@ class AuthService:
 
     Parameters
     ----------
-    scheduler:
-        A pre-configured :class:`BatchingScheduler`; by default one is
-        built from the keyword knobs below.
-    batch_size:
-        Rounds per DSP pass (``None`` = pipeline auto default,
-        ``1`` = per-round DSP — "batching off").
-    linger_ms:
-        Collector linger before dispatching a partial batch.
     queue_limit:
-        Backpressure: max rounds queued for DSP before new requests are
-        rejected with a ``busy`` error.
+        Max rounds queued for DSP before a round is rejected with a
+        ``busy`` error.  A round joins the queue only while it holds a
+        ``max_inflight_rounds`` slot, so the queue never holds more than
+        ``max_inflight_rounds`` rounds: the limit rejects only when set
+        below that gate.
     shard_index / shard_count:
         This server's position in the sharded front tier, echoed in
         :class:`~repro.service.protocol.StatsReply` messages.  The
@@ -242,8 +237,8 @@ class AuthService:
         once.  A prepared round pins several MB of noise beds and
         arrival plans until its DSP pass completes, so unbounded eager
         execution under high concurrency trades throughput for memory
-        pressure; excess rounds simply wait their turn (they are not
-        rejected — ``queue_limit`` is the rejecting limit).
+        pressure; excess rounds wait their turn, without bound (they
+        are not rejected).
     dsp_timeout_s:
         Upper bound on one DSP pass (see
         :class:`BatchingScheduler`); a pass over budget fails its rounds
@@ -263,10 +258,7 @@ class AuthService:
 
     def __init__(
         self,
-        scheduler: BatchingScheduler | None = None,
         *,
-        batch_size: int | None = None,
-        linger_ms: float = 5.0,
         queue_limit: int = 256,
         shard_index: int = 0,
         shard_count: int = 1,
@@ -277,9 +269,7 @@ class AuthService:
         self.faults: FaultInjector | None = None
         if fault_plan is not None and not fault_plan.empty:
             self.faults = FaultInjector(fault_plan)
-        self.scheduler = scheduler or BatchingScheduler(
-            batch_size,
-            linger_ms=linger_ms,
+        self.scheduler = BatchingScheduler(
             max_pending=queue_limit,
             dsp_timeout_s=dsp_timeout_s,
             faults=self.faults,

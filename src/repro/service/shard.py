@@ -238,8 +238,7 @@ class ShardedAuthServer:
         directory by default.
     service_options:
         Keyword arguments forwarded to every worker's ``AuthService``
-        (``batch_size``, ``linger_ms``, ``queue_limit``,
-        ``max_inflight_rounds``, ``dsp_timeout_s``).
+        (``queue_limit``, ``max_inflight_rounds``, ``dsp_timeout_s``).
         Must be picklable — they cross the spawn boundary.
     ready_timeout:
         Seconds to wait for each worker's socket to accept connections

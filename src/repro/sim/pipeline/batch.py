@@ -1,7 +1,12 @@
-"""Cross-session batched execution of the staged pipeline.
+"""The shared detection seam and the stage-timed session runner.
 
-:class:`BatchedSessionRunner` consumes B independent sessions and runs
-them stage by stage instead of session by session:
+:func:`detect_batch` is Step IV for any number of independent sessions,
+one recording per DSP lane: ``run_staged`` (one session), corpus
+record/replay and the streaming service's coalesced passes all route
+through it.
+
+:class:`BatchedSessionRunner` runs independent sessions stage by stage,
+B at a time, and can account each stage's wall clock:
 
 1. ``negotiate`` + ``schedule`` + ``render_noise`` execute per session,
    each on its own RNG stream — these stages *are* the stream consumers,
@@ -14,11 +19,12 @@ them stage by stage instead of session by session:
 4. ``exchange_and_decide`` executes per session, again on the session RNG.
 
 Detection is a pure function of the recordings and a recording's scans
-read nothing else, so batched outcomes are bit-identical to the serial
-staged path — the equivalence tests assert this against
-:func:`repro.sim.pipeline.reference.run_monolithic` as well.  The lanes
-(:mod:`repro.dsp.lanes`) are what the batch buys in speed; the batch
-size itself changes no kernel call.
+read nothing else, so the runner's outcomes are bit-identical to the
+serial staged path at every B — the equivalence tests assert this
+against :func:`repro.sim.pipeline.reference.run_monolithic` as well.
+The batch size changes no kernel call, so the trial engine runs one
+session at a time; the runner is the stage-timed drive of the profiler
+and the benchmarks.
 """
 
 from __future__ import annotations
@@ -50,20 +56,7 @@ from repro.sim.pipeline.stages import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.session import RangingSession
 
-__all__ = [
-    "BatchedSessionRunner",
-    "DEFAULT_BATCH_SIZE",
-    "detect_batch",
-]
-
-#: Auto batch size: sessions per runner batch.  A batch's 2·B capture
-#: buffers stay a modest memory footprint; the batch size changes no
-#: kernel call (each capture renders and is observed on its own), so it
-#: trades nothing but memory.  FFT work is chunked independently, at
-#: :attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows` windows per
-#: dispatch (``DEFAULT_FFT_CHUNK_WINDOWS`` unless ``REPRO_DSP_CHUNK`` or
-#: the backend's constructor sets it).
-DEFAULT_BATCH_SIZE = 16
+__all__ = ["BatchedSessionRunner", "detect_batch"]
 
 
 def _observe(scan) -> DeviceObservation:
@@ -89,10 +82,9 @@ def detect_batch(
     function of each recording.
 
     This is the shared detection seam: ``run_staged`` (B = 1),
-    :class:`BatchedSessionRunner` (stage-major trial batches), corpus
-    record/replay, and the streaming service's
-    :class:`repro.service.BatchingScheduler` (coalesced concurrent
-    requests) all route through it.
+    :class:`BatchedSessionRunner`, corpus record/replay, and the
+    streaming service's :class:`repro.service.BatchingScheduler`
+    (coalesced concurrent requests) all route through it.
     """
     scans = []
     for ctx, negotiation, recordings in entries:
@@ -144,31 +136,33 @@ class _PreparedSession:
 
 
 class BatchedSessionRunner:
-    """Runs independent sessions through the pipeline in batches.
+    """Runs independent sessions through the pipeline, stage by stage.
 
     Parameters
     ----------
     batch_size:
-        Sessions per batch; ``None`` selects :data:`DEFAULT_BATCH_SIZE`.
-        ``1`` degenerates to the serial staged path (useful for
-        equivalence tests); results are identical for every value.
+        Sessions per batch.  ``1`` is the serial staged path; outcomes
+        are identical for every value.
+    stage_timings:
+        Optional wall-clock accounting (see below).
     """
 
     def __init__(
         self,
-        batch_size: int | None = None,
+        batch_size: int,
         stage_timings: dict[str, float] | None = None,
     ) -> None:
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-        self.batch_size = batch_size or DEFAULT_BATCH_SIZE
+        self.batch_size = batch_size
         #: Optional wall-clock accounting: when a dict is supplied, each
         #: batch accumulates per-stage seconds into it under the keys
         #: ``prepare`` (negotiate+schedule+render_noise, the RNG-bound
         #: phase), ``render`` (the arrival phase on the DSP lanes),
         #: ``detect``, and ``decide``.  Used by
-        #: ``benchmarks/bench_pipeline.py`` and
-        #: ``tools/profile_pipeline.py``; zero overhead when None.
+        #: ``benchmarks/bench_pipeline.py``,
+        #: ``tools/profile_pipeline.py`` and the benchmark's stage drive;
+        #: zero overhead when None.
         self.stage_timings = stage_timings
 
     def _account(self, stage: str, started: float) -> float:

@@ -81,16 +81,6 @@ def test_strict_replay_is_byte_identical_and_render_free(
     assert [canon(c) for c in replayed] == [canon(c) for c in live_cells]
 
 
-def test_replay_is_batch_size_invariant(recorded, mini_specs, live_cells):
-    corpus, _ = recorded
-    expected = [canon(c) for c in live_cells]
-    for batch_size in (1, 2, None):
-        runner = ReplayingSessionRunner(corpus, batch_size=batch_size)
-        assert [
-            canon(runner.replay_cell(spec)) for spec in mini_specs
-        ] == expected
-
-
 def test_replay_all_reconstructs_specs_from_manifests(
     recorded, mini_specs, live_cells
 ):
@@ -254,6 +244,21 @@ def test_wrong_trial_count_fails_closed(tmp_path):
     manifest["trials"] = manifest["trials"][:-1]
     path.write_text(json.dumps(manifest))
     with pytest.raises(CorpusIntegrityError, match="trial"):
+        ReplayingSessionRunner(corpus).replay_entry(
+            fingerprint, spec=spec
+        )
+
+
+def test_misnumbered_trials_fail_closed(tmp_path):
+    # Replay appends outcomes in manifest order, so a manifest whose
+    # trials are not 0..n-1 in order must not replay into a wrong cell.
+    corpus, spec = _fresh_corpus(tmp_path)
+    fingerprint = spec.fingerprint()
+    path = corpus._manifest_path(fingerprint)
+    manifest = json.loads(path.read_text())
+    manifest["trials"].reverse()
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CorpusIntegrityError, match="numbered"):
         ReplayingSessionRunner(corpus).replay_entry(
             fingerprint, spec=spec
         )

@@ -173,7 +173,7 @@ def test_trial_seed_matches_legacy_derivation():
 def test_plan_results_identical_across_jobs():
     plan = _quiet_plan()
     serial = TrialEngine(jobs=1).run_plan(plan)
-    with TrialEngine(jobs=2, chunk_size=1) as two:
+    with TrialEngine(jobs=2) as two:
         parallel2 = two.run_plan(plan)
     with TrialEngine(jobs=3) as three:
         parallel3 = three.run_plan(plan)
@@ -323,7 +323,7 @@ def test_map_tasks_preserves_order_across_jobs():
         for trial in range(2)
     ]
     serial = TrialEngine(jobs=1).map_tasks(_attack_trial, tasks)
-    with TrialEngine(jobs=2, chunk_size=1) as engine:
+    with TrialEngine(jobs=2) as engine:
         parallel = engine.map_tasks(_attack_trial, tasks)
     assert serial == parallel
     assert all(serial)
@@ -345,8 +345,6 @@ def test_use_engine_scopes_the_ambient_engine():
 def test_engine_rejects_bad_jobs():
     with pytest.raises(ValueError):
         TrialEngine(jobs=0)
-    with pytest.raises(ValueError):
-        TrialEngine(jobs=2, chunk_size=0)
 
 
 def test_bound_method_fingerprints_include_instance_state():

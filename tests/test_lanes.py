@@ -126,14 +126,13 @@ def test_map_lanes_raises_what_an_item_raised(cpus):
         lanes.map_lanes(fail_on_three, range(6))
 
 
-@pytest.mark.parametrize("batch_size", [1, 16])
-def test_cells_are_byte_identical_at_one_and_two_lanes(cpus, batch_size):
+def test_cells_are_byte_identical_at_one_and_two_lanes(cpus):
     cpus(1)
-    one = run_cell_spec(SPEC, batch_size)
+    one = run_cell_spec(SPEC)
     cpus(2)
     recording = _ThreadRecordingBackend()
     with use_backend(recording):
-        two = run_cell_spec(SPEC, batch_size)
+        two = run_cell_spec(SPEC)
     assert any(name.startswith("repro-lane") for name in recording.threads)
     # repr prints every float exactly: equal reprs are equal bits.
     assert repr(two.outcomes) == repr(one.outcomes)

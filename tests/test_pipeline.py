@@ -24,14 +24,10 @@ from repro.eval.engine import (
     AUTH,
     VOUCH,
     MeasurementCache,
-    TrialEngine,
     TrialSpec,
     build_pair_world,
-    run_cell_spec,
-    use_engine,
 )
 from repro.eval.engine.cache import is_deeply_immutable
-from repro.eval.registry import run_experiment
 from repro.eval.trials import ConcurrentUsersInterference
 from repro.sim.pipeline import (
     BatchedSessionRunner,
@@ -144,15 +140,6 @@ def test_batched_matches_staged(spec, staged_outcomes, batch_size):
     assert all(isinstance(outcome, RangingOutcome) for outcome in batched)
 
 
-def test_run_cell_spec_batch_invariant(spec):
-    serial = run_cell_spec(spec, batch_size=1)
-    for batch_size in (None, 2, 16):
-        batched = run_cell_spec(spec, batch_size=batch_size)
-        assert batched.outcomes == serial.outcomes
-        assert batched.stats.errors_m == serial.stats.errors_m
-        assert batched.stats.not_present == serial.stats.not_present
-
-
 def test_batched_runner_populates_artifacts(spec):
     reference = build_sessions(spec)
     for session in reference:
@@ -201,46 +188,6 @@ def test_detect_batch_matches_per_entry_detect():
             entries.append((ctx, negotiation, recordings))
 
     assert detect_batch(entries) == [detect(*entry) for entry in entries]
-
-
-# ----------------------------------------------------------------------
-# Experiment tables: --batch N must not change a single output byte.
-# ----------------------------------------------------------------------
-
-
-def _experiment_text(name: str, batch_size, trials: int) -> str:
-    engine = TrialEngine(jobs=1, batch_size=batch_size)
-    with use_engine(engine):
-        report = run_experiment(name, trials=trials, seed=0, quick=True)
-    text = report.to_text()
-    # Engine accounting keys vary with wall clock; tables must not.
-    assert "engine:elapsed_s" in report.data
-    return text
-
-
-@pytest.mark.parametrize(
-    "name,trials", [("fig1", 2), ("fig2a", 2), ("security", 10)]
-)
-def test_experiment_tables_batch_invariant(name, trials):
-    serial = _experiment_text(name, 1, trials)
-    batched = _experiment_text(name, 16, trials)
-    assert batched == serial
-
-
-def test_experiment_tables_backend_invariant(monkeypatch):
-    """The default backend reproduces the numpy reference tables.
-
-    With no explicit choice (no ``--dsp-backend``, no env var), selection
-    installs the numpy reference, so experiment tables are byte-identical
-    to a run pinned to it.
-    """
-    from repro.dsp.backend import BACKEND_ENV_VAR, select_backend, use_backend
-
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    with use_backend("numpy"):
-        reference = _experiment_text("fig1", 16, 2)
-    with use_backend(select_backend()):
-        assert _experiment_text("fig1", 16, 2) == reference
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,7 @@ def engine_outcomes(distance_m: float, n_trials: int) -> list[RangingOutcome]:
     spec = TrialSpec(
         environment=ENV, distance_m=distance_m, n_trials=n_trials, seed=SEED
     )
-    return run_cell_spec(spec, batch_size=1).outcomes
+    return run_cell_spec(spec).outcomes
 
 
 def assert_matches_outcome(decision: RoundDecision, outcome: RangingOutcome):
@@ -307,7 +307,7 @@ def test_single_request_matches_engine_cell():
     outcomes = engine_outcomes(0.8, 3)
 
     async def go():
-        async with AuthService(batch_size=8) as service:
+        async with AuthService() as service:
             return await collect(
                 service,
                 RangingRequest(
@@ -336,7 +336,7 @@ def test_concurrent_requests_match_serial_engine_cells():
     serial = {d: engine_outcomes(d, rounds) for d in distances}
 
     async def go():
-        async with AuthService(batch_size=16, linger_ms=20.0) as service:
+        async with AuthService() as service:
             requests = [
                 RangingRequest(
                     request_id=f"c{i}",
@@ -389,7 +389,7 @@ def test_tcp_round_trip_matches_engine_and_streams_in_order():
     outcomes = engine_outcomes(0.8, 2)
 
     async def go():
-        async with AuthService(batch_size=8) as service:
+        async with AuthService() as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with await AuthClient.connect("127.0.0.1", port) as client:
@@ -463,7 +463,7 @@ def test_scheduler_queue_limit_raises_overloaded():
         return ctx, negotiation, render_noise(ctx, plan, rng)
 
     async def go():
-        scheduler = BatchingScheduler(max_batch=4, max_pending=2)
+        scheduler = BatchingScheduler(max_pending=2)
         # Not started: submissions queue up against the limit.
         tasks = [
             asyncio.get_running_loop().create_task(
@@ -582,7 +582,7 @@ def test_abandoned_rounds_are_not_executed():
         return ctx, negotiation, render_noise(ctx, plan, rng)
 
     async def go():
-        scheduler = BatchingScheduler(max_batch=4)
+        scheduler = BatchingScheduler()
         loop = asyncio.get_running_loop()
         dead = loop.create_task(scheduler.run_round(*prepare(0)))
         live = loop.create_task(scheduler.run_round(*prepare(1)))

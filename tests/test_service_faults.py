@@ -78,7 +78,7 @@ def engine_outcomes(
     spec = TrialSpec(
         environment=ENV, distance_m=distance_m, n_trials=n_trials, seed=seed
     )
-    return run_cell_spec(spec, batch_size=1).outcomes
+    return run_cell_spec(spec).outcomes
 
 
 def assert_matches_outcome(decision: RoundDecision, outcome: RangingOutcome):
@@ -199,7 +199,7 @@ def test_deadline_expires_before_admission_fails_closed():
     plan = FaultPlan(delay_batches=(DelayBatch(batch_index=0, delay_ms=150),))
 
     async def go():
-        async with AuthService(batch_size=4, fault_plan=plan) as service:
+        async with AuthService(fault_plan=plan) as service:
             messages = await collect(
                 service, ranging_request(rounds=1, deadline_ms=20.0)
             )
@@ -219,7 +219,7 @@ def test_no_deadline_is_unaffected_by_batch_delay():
     expected = engine_outcomes(0.8, 2)
 
     async def go():
-        async with AuthService(batch_size=4, fault_plan=plan) as service:
+        async with AuthService(fault_plan=plan) as service:
             return await collect(service, ranging_request(rounds=2))
 
     messages = run_async(go())
@@ -232,7 +232,7 @@ def test_generous_deadline_decisions_match_unfaulted_run():
     expected = engine_outcomes(0.8, 2)
 
     async def go():
-        async with AuthService(batch_size=4) as service:
+        async with AuthService() as service:
             return await collect(
                 service, ranging_request(rounds=2, deadline_ms=60_000.0)
             )
@@ -245,7 +245,7 @@ def test_generous_deadline_decisions_match_unfaulted_run():
 
 def test_wedged_dsp_pass_times_out_closed_and_marks_suspect():
     async def go():
-        async with AuthService(batch_size=2, dsp_timeout_s=0.05) as service:
+        async with AuthService(dsp_timeout_s=0.05) as service:
             never = asyncio.get_running_loop().create_future()
             service.scheduler._submit_batch = lambda batch: never
             messages = await collect(service, ranging_request(rounds=1))
@@ -264,7 +264,7 @@ def test_stop_after_dsp_timeout_keeps_the_loop_running():
     # for it; a 10 ms ticker must keep running on the loop meanwhile.
     async def go():
         loop = asyncio.get_running_loop()
-        async with AuthService(batch_size=2, dsp_timeout_s=0.05) as service:
+        async with AuthService(dsp_timeout_s=0.05) as service:
             scheduler = service.scheduler
             scheduler._submit_batch = lambda batch: loop.run_in_executor(
                 scheduler._executor, time.sleep, 1.0
@@ -306,7 +306,7 @@ def test_busy_once_then_retry_returns_identical_decisions():
     expected = engine_outcomes(0.8, 2)
 
     async def go():
-        async with AuthService(batch_size=4, fault_plan=plan) as service:
+        async with AuthService(fault_plan=plan) as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with await AuthClient.connect("127.0.0.1", port) as client:
@@ -333,7 +333,7 @@ def test_busy_without_retry_budget_surfaces_with_attempts():
     plan = FaultPlan(busy_once=(BusyOnce(request_index=0),))
 
     async def go():
-        async with AuthService(batch_size=4, fault_plan=plan) as service:
+        async with AuthService(fault_plan=plan) as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with await AuthClient.connect("127.0.0.1", port) as client:
@@ -364,7 +364,7 @@ def _frame_fault_recovery(mode: str, frame_index: int):
     expected = engine_outcomes(0.8, 2)
 
     async def go():
-        async with AuthService(batch_size=4, fault_plan=plan) as service:
+        async with AuthService(fault_plan=plan) as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with await AuthClient.connect("127.0.0.1", port) as client:
@@ -429,7 +429,7 @@ def test_unexpected_round_exception_maps_to_internal_error(monkeypatch):
     expected = engine_outcomes(0.8, 1)
 
     async def go():
-        async with AuthService(batch_size=1) as service:
+        async with AuthService() as service:
             first = await collect(service, ranging_request(rounds=1))
             # The failure is per-request: the service (and any shared
             # connection) keeps serving, and the retry is unpoisoned.
@@ -474,7 +474,7 @@ async def _raw_exchange(port: int, payload: bytes) -> list[dict]:
 
 def test_malformed_json_line_gets_bad_request():
     async def go():
-        async with AuthService(batch_size=1) as service:
+        async with AuthService() as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             replies = await _raw_exchange(port, b"this is not json\n")
@@ -488,7 +488,7 @@ def test_malformed_json_line_gets_bad_request():
 
 def test_oversized_line_gets_bad_request_then_close():
     async def go():
-        async with AuthService(batch_size=1) as service:
+        async with AuthService() as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             # Default StreamReader limit is 64 KiB; blow well past it
@@ -507,7 +507,7 @@ def test_partial_frame_then_disconnect_leaves_service_alive():
     expected = engine_outcomes(0.8, 1)
 
     async def go():
-        async with AuthService(batch_size=1) as service:
+        async with AuthService() as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             # Half a frame, no newline, hang up.
@@ -542,7 +542,7 @@ def test_interleaved_replies_on_one_multiplexed_connection():
     }
 
     async def go():
-        async with AuthService(batch_size=4) as service:
+        async with AuthService() as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with await AuthClient.connect("127.0.0.1", port) as client:
@@ -601,7 +601,6 @@ def test_worker_kill_respawn_and_retry_byte_identical():
             2,
             fault_plan=plan,
             respawn_backoff_s=0.05,
-            service_options=dict(batch_size=4),
         )
         async with front:
             server = await front.serve("127.0.0.1", 0)

@@ -8,7 +8,8 @@ Covers the scaling contracts of ``docs/service.md``:
 * **least-owed routing** — a request goes to the live shard owing the
   fewest rounds, ties to the session's stable home shard, and the owed
   counts settle to zero however requests end;
-* **backpressure** — a saturated DSP lane surfaces as a ``busy`` error;
+* **backpressure** — a saturated DSP lane surfaces as a ``busy`` error,
+  and only rounds holding an in-flight slot queue for DSP;
 * **graceful shutdown** — draining finishes in-flight streams while new
   requests get ``busy``, both in-process and through a worker SIGTERM;
 * **telemetry** — the ``stats`` wire message reports the scheduler's
@@ -56,7 +57,7 @@ def engine_outcomes(
     spec = TrialSpec(
         environment=ENV, distance_m=distance_m, n_trials=n_trials, seed=seed
     )
-    return run_cell_spec(spec, batch_size=1).outcomes
+    return run_cell_spec(spec).outcomes
 
 
 def assert_matches_outcome(decision: RoundDecision, outcome: RangingOutcome):
@@ -249,14 +250,9 @@ def test_sharded_server_matches_engine_cells(workers):
 
 def test_saturated_pool_surfaces_busy_over_tcp():
     async def go():
-        # One slow serial DSP lane and a 2-round queue: eager round
-        # preparation outruns the pool and overflows into ``busy``.
-        service = AuthService(
-            batch_size=1,
-            linger_ms=0.0,
-            queue_limit=2,
-            max_inflight_rounds=64,
-        )
+        # A 2-round queue behind a 64-round gate: eager round
+        # preparation outruns the DSP pass and overflows into ``busy``.
+        service = AuthService(queue_limit=2, max_inflight_rounds=64)
         async with service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
@@ -277,6 +273,30 @@ def test_saturated_pool_surfaces_busy_over_tcp():
     assert error.code == "busy"
 
 
+def test_queue_limit_above_the_inflight_gate_never_rejects():
+    """Only rounds holding one of the 32 ``max_inflight_rounds`` slots
+    join the DSP queue, so a limit of 33 cannot fire: the remaining rounds
+    wait at the gate, and a 40-round request completes."""
+
+    async def go():
+        async with AuthService(queue_limit=33) as service:
+            request = RangingRequest(
+                request_id="gate",
+                environment=ENV,
+                distance_m=0.8,
+                seed=SEED,
+                rounds=40,
+                threshold_m=2.0,
+            )
+            messages = [m async for m in service.handle_request(request)]
+            return messages, service.scheduler.stats
+
+    messages, stats = run_async(go())
+    assert len(messages) == 41
+    assert isinstance(messages[-1], RequestComplete)
+    assert stats.queue_high_water <= 32
+
+
 # ----------------------------------------------------------------------
 # Graceful shutdown
 # ----------------------------------------------------------------------
@@ -286,7 +306,7 @@ def test_drain_finishes_inflight_and_rejects_new():
     outcomes = engine_outcomes(0.8, 4)
 
     async def go():
-        service = AuthService(batch_size=1, linger_ms=0.0)
+        service = AuthService()
         async with service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
@@ -372,7 +392,7 @@ def test_sharded_drain_finishes_inflight_stream():
 
 def test_loadgen_closed_loop_measures_throughput():
     async def go():
-        async with AuthService(batch_size=8) as service:
+        async with AuthService() as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             report = await run_loadgen(
@@ -407,7 +427,7 @@ def test_loadgen_closed_loop_measures_throughput():
 
 def test_loadgen_open_loop_uses_scheduled_arrivals():
     async def go():
-        async with AuthService(batch_size=8) as service:
+        async with AuthService() as service:
             server = await service.serve("127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             report = await run_loadgen(

@@ -151,7 +151,6 @@ async def serve_and_run(
         WORKERS,
         fault_plan=fault_plan,
         respawn_backoff_s=0.1,
-        service_options=dict(batch_size=8),
     )
     async with front:
         server = await front.serve("127.0.0.1", 0)

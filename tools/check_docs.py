@@ -14,7 +14,7 @@ does not resolve against the actual codebase:
   (`repro.cli.build_parser`, descending into nested subcommands such as
   ``scenario run``), and the subcommand must exist; every inline code
   span that is just a flag (optionally with a metavar, e.g.
-  ``--batch N``) must be registered on some parser;
+  ``--jobs N``) must be registered on some parser;
 * **Tool flags** — every ``--flag`` on a ``python tools/<name>.py …``
   line inside a fenced shell block, or in an inline code span naming
   ``tools/<name>.py`` (with or without ``python``), must be registered
@@ -51,7 +51,7 @@ TOOL_LINE_RE = re.compile(r"\bpython3? (tools/[A-Za-z0-9_]+\.py)(.*)")
 #: An inline code span naming one of the repository's tools.
 INLINE_TOOL_RE = re.compile(r"^(?:python3? )?(tools/[A-Za-z0-9_]+\.py)(.*)")
 #: An inline code span that is exactly one flag, optionally with a
-#: placeholder metavar ("--batch N", "--dsp-backend NAME").
+#: placeholder metavar ("--jobs N", "--cache-dir DIR").
 INLINE_FLAG_RE = re.compile(r"^(--[a-z][a-z0-9-]*)(?:[= ][A-Za-z0-9_./-]+)?$")
 
 

@@ -1,7 +1,8 @@
 """Hot-list profiler for the ranging pipeline.
 
-This is the tool that found the PR's wins: it runs a small Fig. 1-style
-plan through the batched pipeline and prints either
+It runs a small Fig. 1-style plan one session at a time through the
+stage-timed runner (``BatchedSessionRunner(1)``, the trial engine's
+configuration) and prints either
 
 * ``--mode wall`` (default) — the runner's per-stage wall-clock split
   (prepare / render / detect / decide) plus throughput, with negligible
@@ -22,8 +23,7 @@ Examples
 
     PYTHONPATH=src python tools/profile_pipeline.py
     PYTHONPATH=src python tools/profile_pipeline.py --mode cumulative --limit 25
-    PYTHONPATH=src python tools/profile_pipeline.py --trials 8 --batch 32
-    PYTHONPATH=src python tools/profile_pipeline.py --dsp-backend scipy
+    PYTHONPATH=src python tools/profile_pipeline.py --trials 8
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.core.decisions import ThresholdGridPolicy
-from repro.dsp.backend import get_backend, select_backend, set_backend
 from repro.dsp.lanes import lane_count
 from repro.eval.engine import AUTH, VOUCH, build_pair_world
 from repro.eval.sweep import DEFAULT_ROC_THRESHOLDS
@@ -72,7 +71,6 @@ def _run(plan, runner):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=4, help="trials per cell")
-    parser.add_argument("--batch", type=int, default=16, help="sessions per batch")
     parser.add_argument(
         "--mode",
         choices=("wall", "cumulative"),
@@ -82,32 +80,20 @@ def main() -> int:
     parser.add_argument(
         "--limit", type=int, default=30, help="rows of the cumulative hot list"
     )
-    parser.add_argument(
-        "--dsp-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "profile under a specific DSP backend (default: the "
-            "REPRO_DSP_BACKEND env var if set, else numpy)"
-        ),
-    )
     args = parser.parse_args()
 
-    if args.dsp_backend is not None:
-        set_backend(select_backend(args.dsp_backend))
-    backend = get_backend()
     plan = _build_plan(args.trials)
     n_trials = sum(len(sessions) for sessions in plan)
     print(
         f"plan: fig1 x {args.trials} trials/cell = {n_trials} trials, "
-        f"batch={args.batch}, dsp-backend={backend.name}, lanes={lane_count()}"
+        f"one session at a time, lanes={lane_count()}"
     )
     warm_cpus()
 
     if args.mode == "wall":
         timings: dict[str, float] = {}
         elapsed, outcomes = _run(
-            plan, BatchedSessionRunner(args.batch, stage_timings=timings)
+            plan, BatchedSessionRunner(1, stage_timings=timings)
         )
         # The decide seam's policy phase: fan every round's evidence
         # across a 16-threshold grid, timed as its own row so the cost
@@ -129,7 +115,7 @@ def main() -> int:
         )
         return 0
 
-    runner = BatchedSessionRunner(args.batch)
+    runner = BatchedSessionRunner(1)
     profile = cProfile.Profile()
     profile.enable()
     elapsed, _ = _run(plan, runner)
