@@ -9,7 +9,7 @@ def test_table2_far(benchmark, quick):
     for scenario, paper_row in PAPER_TABLE2.items():
         model_row = report.data[f"model_paper_sigma:{scenario}"]
         # The constant-σ model matches the printed FARs within rounding
-        # (the paper's restaurant row is non-monotone — see EXPERIMENTS.md).
+        # (the paper's restaurant row is non-monotone — see DESIGN.md §6).
         for got, want in zip(model_row, paper_row):
             assert abs(got - want) < 0.15, (scenario, got, want)
         # Headline claim: every measured FAR stays below 1 %.

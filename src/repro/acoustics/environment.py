@@ -2,10 +2,10 @@
 
 Each environment bundles a background-noise model and a reverberation
 profile (the parameters of the random per-session channel filters).  The
-presets are calibrated so the *measured* distance-estimation spread σ_d of
-the full simulation lands in the per-environment bands the paper reports
-(see DESIGN.md §5): office ≈ 7 cm, restaurant ≈ 10.7 cm, home ≈ 11.9 cm,
-street ≈ 15.8 cm.
+presets aim at the paper-implied σ_d bands (office ≈ 7 cm, restaurant
+≈ 10.7 cm, home ≈ 11.9 cm, street ≈ 15.8 cm) but land below them: the
+full simulation measures office 5.8, home 8.6, street 10.1 and restaurant
+8.6 cm at the paper's trial counts (DESIGN.md §5).
 """
 
 from __future__ import annotations

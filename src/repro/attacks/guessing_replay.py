@@ -11,7 +11,7 @@ it cannot, being out of acoustic range).
 1/(2^N − 2) ≈ 2^{−N}; a full replay needs two correct guesses.  The paper
 states the joint probability as 1/2^{N+1}; the stated sampling procedure
 gives 1/(2^N − 2)² — we implement the exact combinatorics in
-:func:`guess_success_probability` and report both (see EXPERIMENTS.md).
+:func:`guess_success_probability` and report both (see DESIGN.md note 1).
 """
 
 from __future__ import annotations

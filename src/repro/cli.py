@@ -48,7 +48,7 @@ from repro.eval.reporting import format_throughput
 if TYPE_CHECKING:
     from repro.eval.engine import TrialEngine
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "port"]
 
 
 def _at_least(
@@ -79,6 +79,14 @@ _positive_int = _at_least(int, 1)
 _non_negative_int = _at_least(int, 0)
 _positive_float = _at_least(float, 0, inclusive=False)
 _non_negative_float = _at_least(float, 0)
+
+
+def port(text: str) -> int:
+    """An argparse type: a TCP port, 0 (any free port) to 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {text}")
+    return value
 
 
 def _add_engine_options(
@@ -150,8 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     roc_parser.add_argument(
-        "--trials", type=_positive_int, default=10,
-        help="trials per scene cell (default: the tables' 10)",
+        "--trials", type=_at_least(int, 2), default=10,
+        help=(
+            "trials per scene cell, at least 2 for a spread "
+            "(default: the tables' 10)"
+        ),
     )
     roc_parser.add_argument("--seed", type=_non_negative_int, default=0)
     roc_parser.add_argument(
@@ -327,17 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=8765)
     serve_parser.add_argument(
-        "--queue-limit",
-        type=_positive_int,
-        default=256,
-        metavar="N",
-        help=(
-            "max rounds queued for DSP before a round gets a busy error; "
-            "only rounds holding a --max-inflight slot queue, so the "
-            "limit rejects only when set below --max-inflight"
-        ),
+        "--port", type=port, default=8765, help="TCP port (0: any free port)"
     )
     serve_parser.add_argument(
         "--workers",
@@ -487,7 +489,7 @@ def _cmd_capture(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.core.decisions import ThresholdPolicy, decide_round
+    from repro.core.decisions import ThresholdPolicy
     from repro.corpus import ReplayingSessionRunner
     from repro.sim.pipeline import render_call_counts, reset_render_call_counts
 
@@ -534,10 +536,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             print("\nthreshold fan-out over replayed evidence:")
             for tau in args.thresholds:
                 policy = ThresholdPolicy(tau)
-                grants = sum(
-                    decide_round(outcome, policy).granted
-                    for outcome in outcomes
-                )
+                grants = sum(policy.decide(o).granted for o in outcomes)
                 print(f"  tau={tau:5.2f} m  {grants}/{len(outcomes)} granted")
         verified = sum(r.replayed_trials for r in reports)
         print(
@@ -665,7 +664,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             loop.add_signal_handler(signum, stop.set)
 
         options = dict(
-            queue_limit=args.queue_limit,
             max_inflight_rounds=args.max_inflight,
             dsp_timeout_s=args.dsp_timeout_s,
         )
@@ -714,7 +712,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        minimum = EXPERIMENTS[args.experiment].min_trials
+        if args.trials is not None and args.trials < minimum:
+            parser.error(
+                f"argument --trials: must be >= {minimum} for "
+                f"{args.experiment} (sigma_d is a spread), got {args.trials}"
+            )
     try:
         if args.command == "list":
             return _cmd_list()

@@ -2,22 +2,29 @@
 
 PIANO's decision rule (§III, §IV): grant access iff the vouching device is
 paired, reachable over Bluetooth, and the ACTION distance estimate is no
-larger than the user-selected threshold τ.  Every deny carries a machine-
-readable reason so applications (and our experiments) can distinguish
-"user too far" from "signal not present" from "no pairing".
+larger than the user-selected threshold τ; a ⊥ (signal not present)
+denies.  Every deny carries a machine-readable reason so applications
+(and our experiments) can distinguish "user too far" from "signal not
+present" from "no pairing".
 
-The decision itself is the *policy* side of the pipeline's decide seam: a
-:class:`DecisionPolicy` is a pure function of one round's threshold-free
-evidence (a :class:`~repro.core.ranging.RangingOutcome` or a
-:class:`repro.sim.pipeline.RoundEvidence` — structurally identical), so
-one rendered round can be decided under arbitrarily many policies at no
-ranging cost.  Three policies ship:
+This module is the only code that turns a round's result into grant or
+deny.  Two pieces state the rule: :func:`within_threshold`, the one
+comparison of an estimated distance with τ, and :data:`DENY_REASONS`,
+the one map from a non-``OK`` :class:`~repro.core.ranging.RangingStatus`
+to its :class:`DenyReason` (:func:`round_reason` combines them).
+:class:`repro.core.piano.PianoAuthenticator` and the service's wire
+decisions (``repro.service.server.round_decision`` and
+``aggregate_decision``) call them; so do the policies below.
 
-* :class:`ThresholdPolicy` — the paper's fixed-τ rule, reproducing
-  :meth:`repro.core.piano.PianoAuthenticator` single-round decisions
-  bit-identically;
-* :class:`ThresholdGridPolicy` — one evidence in, one decision per τ of
-  a grid out (the ROC-sweep workhorse, :mod:`repro.eval.sweep`);
+A :class:`DecisionPolicy` is a pure function of one round's
+:class:`~repro.core.ranging.RangingOutcome`, which carries no threshold,
+so one rendered round can be decided under arbitrarily many policies at
+no ranging cost.  Three policies ship:
+
+* :class:`ThresholdPolicy` — the paper's fixed-τ rule, the single-round
+  decision of :class:`repro.core.piano.PianoAuthenticator`;
+* :class:`ThresholdGridPolicy` — one round in, one decision per τ of a
+  grid out (the ROC-sweep workhorse, :mod:`repro.eval.sweep`);
 * :class:`CalibratedPolicy` — picks τ from a target FRR through the
   §VI-C Gaussian model (:mod:`repro.eval.frr_far`) given a
   :class:`CalibrationContext` (per-deployment σ_d), then applies the
@@ -30,7 +37,6 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol, runtime_checkable
 
 from repro.core.ranging import RangingOutcome, RangingStatus
 
@@ -38,13 +44,14 @@ __all__ = [
     "AuthDecision",
     "DenyReason",
     "AuthResult",
-    "RoundEvidenceLike",
+    "DENY_REASONS",
+    "within_threshold",
+    "round_reason",
     "DecisionPolicy",
     "ThresholdPolicy",
     "ThresholdGridPolicy",
     "CalibrationContext",
     "CalibratedPolicy",
-    "decide_round",
 ]
 
 
@@ -127,100 +134,76 @@ class AuthResult:
         )
 
 
-@runtime_checkable
-class RoundEvidenceLike(Protocol):
-    """Structural contract for one round's threshold-free evidence.
+#: The deny reason of every round status other than ``OK``.  PIANO
+#: denies each of them outright; a ⊥ (``SIGNAL_NOT_PRESENT``) may first
+#: be retried (``AuthConfig.max_retries``, the service's extra rounds).
+DENY_REASONS: dict[RangingStatus, DenyReason] = {
+    RangingStatus.SIGNAL_NOT_PRESENT: DenyReason.SIGNAL_NOT_PRESENT,
+    RangingStatus.BLUETOOTH_UNAVAILABLE: DenyReason.OUT_OF_BLUETOOTH_RANGE,
+    RangingStatus.CHANNEL_TAMPERED: DenyReason.CHANNEL_TAMPERED,
+}
 
-    Satisfied by both :class:`repro.core.ranging.RangingOutcome` and
-    :class:`repro.sim.pipeline.RoundEvidence` — policies accept either, so
-    the core layer never imports the simulation pipeline.
+
+def within_threshold(outcome: RangingOutcome, threshold_m: float) -> bool:
+    """PIANO's distance test: the round completed and its estimate is ≤ τ.
+
+    The one place an estimated distance meets τ; every consumer of the
+    rule (the policies, the authenticator, the service's wire decisions)
+    asks here.
     """
-
-    status: RangingStatus
-    distance_m: float | None
-    elapsed_s: float
-    energy_j: float
-
-    def require_distance(self) -> float:  # pragma: no cover - protocol
-        ...
+    return bool(outcome.ok and outcome.require_distance() <= threshold_m)
 
 
-def _as_ranging(evidence: RoundEvidenceLike) -> RangingOutcome:
-    """Project evidence to the diagnostics ``RangingOutcome`` of a result."""
-    if isinstance(evidence, RangingOutcome):
-        return evidence
-    outcome = getattr(evidence, "outcome", None)
-    if callable(outcome):
-        return outcome()
-    return RangingOutcome(
-        status=evidence.status,
-        distance_m=evidence.distance_m,
-        auth_observation=getattr(evidence, "auth_observation", None),
-        vouch_observation=getattr(evidence, "vouch_observation", None),
-        elapsed_s=evidence.elapsed_s,
-        energy_j=evidence.energy_j,
-    )
+def round_reason(status: RangingStatus, within: bool) -> DenyReason:
+    """Why a round with ``status`` is denied (``NONE`` when it grants).
 
-
-def _single_round_result(
-    evidence: RoundEvidenceLike, threshold_m: float
-) -> AuthResult:
-    """One round of PIANO's fixed-τ rule over threshold-free evidence.
-
-    This is exactly the per-round decision of
-    ``repro.core.piano.PianoAuthenticator`` (status mapping, then
-    ``distance <= τ``); the bit-identity tests pin the equivalence.
+    ``within`` is the round's :func:`within_threshold` verdict; it
+    decides only rounds that completed.
     """
-    if evidence.status is RangingStatus.BLUETOOTH_UNAVAILABLE:
-        decision, reason = AuthDecision.DENY, DenyReason.OUT_OF_BLUETOOTH_RANGE
-    elif evidence.status is RangingStatus.CHANNEL_TAMPERED:
-        decision, reason = AuthDecision.DENY, DenyReason.CHANNEL_TAMPERED
-    elif evidence.status is RangingStatus.SIGNAL_NOT_PRESENT:
-        decision, reason = AuthDecision.DENY, DenyReason.SIGNAL_NOT_PRESENT
-    elif evidence.require_distance() <= threshold_m:
-        decision, reason = AuthDecision.GRANT, DenyReason.NONE
-    else:
-        decision, reason = AuthDecision.DENY, DenyReason.DISTANCE_EXCEEDS_THRESHOLD
-    return AuthResult(
-        decision=decision,
-        reason=reason,
-        threshold_m=threshold_m,
-        distance_m=evidence.distance_m,
-        rounds=1,
-        ranging=_as_ranging(evidence),
-        elapsed_s=evidence.elapsed_s,
-        energy_j=evidence.energy_j,
-    )
+    if status is not RangingStatus.OK:
+        return DENY_REASONS[status]
+    return DenyReason.NONE if within else DenyReason.DISTANCE_EXCEEDS_THRESHOLD
 
 
 class DecisionPolicy(ABC):
-    """A pure decision rule over one round's threshold-free evidence.
+    """A pure decision rule over one round's :class:`RangingOutcome`.
 
-    ``decide`` must not consume RNG, mutate the evidence, or touch the
+    ``decide`` must not consume RNG, mutate the outcome, or touch the
     ranging pipeline: this is what makes fanning one rendered round out
-    across many policies free (O(renders) ROC sweeps, service-side
-    threshold calibration from cached evidence).
+    across many policies free (O(renders) ROC sweeps over cached cells).
     """
 
     @abstractmethod
     def decide(
-        self, evidence: RoundEvidenceLike
+        self, outcome: RangingOutcome
     ) -> AuthResult | tuple[AuthResult, ...]:
-        """Map evidence to one result (or one per grid point)."""
+        """Map one round to one result (or one per grid point)."""
 
 
 @dataclass(frozen=True)
 class ThresholdPolicy(DecisionPolicy):
     """The paper's fixed-τ rule (§III): grant iff distance ≤ ``threshold_m``.
 
-    Bit-identical to the single-round decision of
-    ``repro.core.piano.PianoAuthenticator``.
+    The single-round decision of ``repro.core.piano.PianoAuthenticator``.
     """
 
     threshold_m: float
 
-    def decide(self, evidence: RoundEvidenceLike) -> AuthResult:
-        return _single_round_result(evidence, self.threshold_m)
+    def decide(self, outcome: RangingOutcome) -> AuthResult:
+        within = within_threshold(outcome, self.threshold_m)
+        reason = round_reason(outcome.status, within)
+        return AuthResult(
+            decision=(
+                AuthDecision.GRANT if reason is DenyReason.NONE else AuthDecision.DENY
+            ),
+            reason=reason,
+            threshold_m=self.threshold_m,
+            distance_m=outcome.distance_m,
+            rounds=1,
+            ranging=outcome,
+            elapsed_s=outcome.elapsed_s,
+            energy_j=outcome.energy_j,
+        )
 
 
 @dataclass(frozen=True)
@@ -228,7 +211,7 @@ class ThresholdGridPolicy(DecisionPolicy):
     """Decide one round under every τ of a grid in a single pass.
 
     Equivalent by construction to a tuple of :class:`ThresholdPolicy`
-    decisions, amortizing the evidence across the whole grid — the
+    decisions, amortizing one round across the whole grid — the
     workhorse of :mod:`repro.eval.sweep`.
     """
 
@@ -237,9 +220,9 @@ class ThresholdGridPolicy(DecisionPolicy):
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds_m", tuple(self.thresholds_m))
 
-    def decide(self, evidence: RoundEvidenceLike) -> tuple[AuthResult, ...]:
+    def decide(self, outcome: RangingOutcome) -> tuple[AuthResult, ...]:
         return tuple(
-            _single_round_result(evidence, threshold)
+            ThresholdPolicy(threshold).decide(outcome)
             for threshold in self.thresholds_m
         )
 
@@ -301,12 +284,5 @@ class CalibratedPolicy(DecisionPolicy):
         """The concrete fixed-τ policy this context resolves to."""
         return ThresholdPolicy(self.context.threshold_m())
 
-    def decide(self, evidence: RoundEvidenceLike) -> AuthResult:
-        return _single_round_result(evidence, self.context.threshold_m())
-
-
-def decide_round(
-    evidence: RoundEvidenceLike, policy: DecisionPolicy
-) -> AuthResult | tuple[AuthResult, ...]:
-    """The policy half of the decide seam: ``policy.decide(evidence)``."""
-    return policy.decide(evidence)
+    def decide(self, outcome: RangingOutcome) -> AuthResult:
+        return self.resolve().decide(outcome)

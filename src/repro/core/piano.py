@@ -8,9 +8,13 @@ The decision rule: a user touching the authenticating device is accepted iff
    threshold τ.
 
 A ⊥ from the detector (signal not present — far devices, walls, spoofing)
-denies.  The authenticator is substrate-agnostic: it consumes a *pairing
-view* and a *ranging runner*, which the simulated world provides (and real
-hardware could, too).
+denies.  The authenticator checks conditions 1 and 2 itself, retries a ⊥
+round up to ``AuthConfig.max_retries`` times, and decides the final round
+with :class:`repro.core.decisions.ThresholdPolicy`: condition 3 and the
+status → deny-reason map live in :mod:`repro.core.decisions` only.  It
+is substrate-agnostic: it consumes a *pairing view* and a *ranging
+runner*, which the simulated world provides (and real hardware could,
+too).
 
 This module also hosts the §VI-D latency optimization as an optional
 extension: :class:`PreAuthenticator` watches an accelerometer trace and
@@ -20,11 +24,16 @@ latency from the user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 from repro.core.config import AuthConfig
-from repro.core.decisions import AuthDecision, AuthResult, DenyReason
+from repro.core.decisions import (
+    AuthDecision,
+    AuthResult,
+    DenyReason,
+    ThresholdPolicy,
+)
 from repro.core.ranging import RangingOutcome, RangingStatus
 from repro.devices.sensors import AccelerometerTrace, PickupDetector
 
@@ -94,43 +103,10 @@ class PianoAuthenticator:
             if outcome.status is not RangingStatus.SIGNAL_NOT_PRESENT:
                 break
         assert outcome is not None
-
-        return self._decide(outcome, rounds, elapsed, energy)
-
-    # ------------------------------------------------------------------
-
-    def _decide(
-        self,
-        outcome: RangingOutcome,
-        rounds: int,
-        elapsed: float,
-        energy: float,
-    ) -> AuthResult:
-        config = self.auth_config
-        if outcome.status is RangingStatus.BLUETOOTH_UNAVAILABLE:
-            reason = DenyReason.OUT_OF_BLUETOOTH_RANGE
-        elif outcome.status is RangingStatus.CHANNEL_TAMPERED:
-            reason = DenyReason.CHANNEL_TAMPERED
-        elif outcome.status is RangingStatus.SIGNAL_NOT_PRESENT:
-            reason = DenyReason.SIGNAL_NOT_PRESENT
-        elif outcome.require_distance() <= config.threshold_m:
-            reason = DenyReason.NONE
-        else:
-            reason = DenyReason.DISTANCE_EXCEEDS_THRESHOLD
-
-        decision = (
-            AuthDecision.GRANT if reason is DenyReason.NONE else AuthDecision.DENY
-        )
-        return AuthResult(
-            decision=decision,
-            reason=reason,
-            threshold_m=config.threshold_m,
-            distance_m=outcome.distance_m,
-            rounds=rounds,
-            ranging=outcome,
-            elapsed_s=elapsed,
-            energy_j=energy,
-        )
+        # The decision is the final round's, under the one fixed-τ rule
+        # of repro.core.decisions; the costs are every round's.
+        result = ThresholdPolicy(config.threshold_m).decide(outcome)
+        return replace(result, rounds=rounds, elapsed_s=elapsed, energy_j=energy)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@
 capture hooks: it runs the trials one session at a time through the
 exact stage calls of :func:`~repro.sim.pipeline.run_staged` —
 ``negotiate`` / ``schedule`` / ``render_noise``, ``render_arrivals`` and
-``detect_batch`` over the session's two captures, ``exchange_and_decide``
-— so the :class:`~repro.eval.engine.CellResult` it returns is
-bit-identical to a live run, and what it writes to the corpus is the
-ground truth replay is later compared against.
+``detect_batch`` over the session's two captures, ``exchange`` — so the
+:class:`~repro.eval.engine.CellResult` it returns is bit-identical to a
+live run, and what it writes to the corpus is the ground truth replay is
+later compared against.
 
 Per surviving trial the entry stores everything the replay path needs to
 re-enter the pipeline *after* the render stage:
@@ -50,7 +50,7 @@ from repro.dsp.backend import get_backend
 from repro.eval.engine import CellResult, TrialSpec, build_trial_session
 from repro.sim.pipeline.batch import detect_batch
 from repro.sim.pipeline.stages import (
-    exchange_and_decide,
+    exchange,
     negotiate,
     render_arrivals,
     render_noise,
@@ -207,9 +207,7 @@ def record_cell_spec(spec: TrialSpec, corpus: CaptureCorpus) -> CellResult:
         rng_state = copy.deepcopy(rng.bit_generator.state)
         (recordings,) = render_arrivals([planned])
         (pair,) = detect_batch([(ctx, negotiation, recordings)])
-        outcome = exchange_and_decide(
-            ctx, negotiation, pair, rng, session.artifacts
-        )
+        outcome = exchange(ctx, negotiation, pair, rng, session.artifacts)
         cell.add(outcome)
         signals = negotiation.signals
         arrays[f"t{trial}_auth"] = encode_recording(recordings.auth)

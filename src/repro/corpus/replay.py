@@ -17,7 +17,8 @@ trial it:
 4. runs the shared detection seam
    (:func:`repro.sim.pipeline.detect_batch` — the very code live rounds
    use) and, after restoring the session RNG to the stored post-render
-   stream position, the terminal ``exchange_and_decide`` stage.
+   stream position, the terminal ``exchange`` stage, which returns the
+   trial's :class:`~repro.core.ranging.RangingOutcome`.
 
 In **strict** mode (the default) every replayed decision is compared
 byte-for-byte against the recorded one via
@@ -38,7 +39,7 @@ from repro.sim.pipeline.batch import detect_batch
 from repro.sim.pipeline.stages import (
     NegotiationResult,
     RenderedRecordings,
-    exchange_and_decide,
+    exchange,
 )
 
 from repro.corpus.codec import (
@@ -217,7 +218,7 @@ class ReplayingSessionRunner:
             # render stage left it, so the exchange stage's
             # report-transfer draw matches bit for bit.
             session.rng.bit_generator.state = meta["rng_state"]
-            outcome = exchange_and_decide(
+            outcome = exchange(
                 ctx, negotiation, pair, session.rng, session.artifacts
             )
             report.cell.add(outcome)

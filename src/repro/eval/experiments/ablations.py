@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out (our extension).
+"""Ablations over the design choices DESIGN.md §4 calls out (our extension).
 
 The paper fixes θ = 5, α = 1 %, coarse/fine steps 1000/10, and
 signal length 4096 without sensitivity analysis.  These sweeps show *why*

@@ -12,9 +12,10 @@ its measurements; our Fig.-1 experiment does the same for the simulator).
   estimating), and beyond the Bluetooth range ``R_bt ≈ 10 m`` pairing
   fails, so FAR ≡ 0 there (§VI-C).
 
-With the paper's σ_d values these formulas reproduce Tables I and II to
-the printed decimal for 18 of 20 FAR cells and all FRR cells (see
-EXPERIMENTS.md for the two off-by-rounding cells).
+With the paper's σ_d values these formulas reproduce 19 of the 20 FRR
+cells of Table I and 17 of the 20 FAR cells of Table II to the printed
+decimal, and every cell within 0.15 points (DESIGN.md §6 lists the four
+others).
 """
 
 from __future__ import annotations

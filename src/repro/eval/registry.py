@@ -23,13 +23,19 @@ __all__ = ["EXPERIMENTS", "ExperimentEntry", "run_experiment", "list_experiments
 
 @dataclass(frozen=True)
 class ExperimentEntry:
-    """One registered experiment; ``module`` defines its ``run``."""
+    """One registered experiment; ``module`` defines its ``run``.
+
+    ``min_trials`` is the fewest trials per cell the experiment can
+    report from: 2 where it pools σ_d, a spread (``repro run`` rejects
+    fewer).
+    """
 
     name: str
     paper_artifact: str
     description: str
     module: str
     default_trials: int
+    min_trials: int = 1
 
 
 EXPERIMENTS: dict[str, ExperimentEntry] = {
@@ -41,6 +47,7 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
             "distance-estimation errors in office/home/street/restaurant",
             "repro.eval.experiments.fig1_environments",
             10,
+            min_trials=2,
         ),
         ExperimentEntry(
             "fig2a",
@@ -62,6 +69,7 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
             "false rejection rates per scenario and threshold",
             "repro.eval.experiments.table1_frr",
             10,
+            min_trials=2,
         ),
         ExperimentEntry(
             "table2",
@@ -69,6 +77,7 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
             "false acceptance rates per scenario and threshold",
             "repro.eval.experiments.table2_far",
             10,
+            min_trials=2,
         ),
         ExperimentEntry(
             "wall",

@@ -15,7 +15,9 @@ interaction).  Eight modules:
 * **server** — :class:`AuthService`: request validation, the request →
   trial mapping (``request_spec``), the per-round stage drive (RNG
   stages on the request path, DSP via the scheduler), decision
-  streaming with the PIANO aggregate rule (``aggregate_decision``),
+  streaming (``round_decision``) with the PIANO aggregate rule
+  (``aggregate_decision``), both deciding through
+  :mod:`repro.core.decisions`,
   graceful draining, and the JSON-lines TCP/unix listeners behind
   ``python -m repro serve``;
 * **calibration** — :class:`CalibrationStore`, per-deployment threshold
@@ -55,9 +57,9 @@ Contracts (details in ``docs/service.md``):
   process's DSP lanes (:mod:`repro.dsp.lanes`), so even one round uses
   a CPU per capture.
 * **Backpressure** — at most ``max_inflight_rounds`` rounds are prepared
-  or in DSP at once, and later rounds wait for a slot; a round that
-  finds the DSP queue full receives a ``busy`` error, which at the
-  defaults (32 slots, a queue of 256) cannot happen.
+  or in DSP at once, and later rounds wait for a slot; since only a
+  round holding a slot joins the DSP queue, the gate bounds the queue
+  too.
 * **Graceful shutdown** — draining finishes accepted streams, answers
   new requests with ``busy``, and closes the DSP threads.
 * **Fail closed** — every failure path (deadline expiry, DSP timeout,

@@ -17,13 +17,15 @@ rounds meanwhile.
 Determinism: batch composition is a scheduling decision, never a
 numerical one (invariant 2 of :mod:`repro.sim.pipeline`), so *which*
 requests happen to share a pass cannot change any round's bits.
-The RNG-bound stages and ``exchange_and_decide`` never enter the
-scheduler — each stays on its own session's stream, in order.
+The RNG-bound stages and ``exchange`` never enter the scheduler — each
+stays on its own session's stream, in order.
 
-Backpressure: at most ``max_pending`` rounds may be queued; beyond that
-:meth:`BatchingScheduler.run_round` raises :class:`ServiceOverloaded`,
-which the server translates into a ``busy`` :class:`ErrorReply` so
-callers can retry instead of piling unbounded work onto the loop.
+Backpressure: the queue itself is unbounded.  The server submits a
+round only while the round holds one of its ``max_inflight_rounds``
+gate slots, so that gate bounds the queue (``queue_high_water`` never
+exceeds it).  :meth:`BatchingScheduler.stop` fails whatever is still
+queued with :class:`ServiceOverloaded`, which the server answers with a
+retriable ``busy`` error.
 
 Deadlines: a round may carry an ``expires_at`` loop time.  Expiry is
 enforced **at batch admission only** — when the collector is about to
@@ -77,7 +79,7 @@ MAX_LINGER_S = 0.005
 
 
 class ServiceOverloaded(RuntimeError):
-    """The round queue is full — backpressure; the caller should retry."""
+    """The scheduler stopped before the round ran; the caller should retry."""
 
 
 class DeadlineExceeded(RuntimeError):
@@ -98,8 +100,8 @@ class SchedulerStats:
     ``stats`` wire message (and through it the load generator's report):
     the batch-size histogram (how well traffic actually coalesced), the
     total linger wait (latency the collector added while gathering
-    stragglers), and the queue-depth high-water mark (how close the
-    service came to ``max_pending`` backpressure).
+    stragglers), and the queue-depth high-water mark (how many rounds
+    the in-flight gate let wait for DSP at once).
     """
 
     rounds: int = 0
@@ -193,9 +195,6 @@ class BatchingScheduler:
 
     Parameters
     ----------
-    max_pending:
-        Queue limit; further :meth:`run_round` calls raise
-        :class:`ServiceOverloaded` until the backlog drains.
     dsp_timeout_s:
         Upper bound on one pass.  A pass that exceeds it fails
         every round in its batch with :class:`DeadlineExceeded` (the
@@ -213,27 +212,21 @@ class BatchingScheduler:
     def __init__(
         self,
         *,
-        max_pending: int = 256,
         dsp_timeout_s: float | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending!r}")
         if dsp_timeout_s is not None and dsp_timeout_s <= 0:
             raise ValueError(
                 f"dsp_timeout_s must be > 0, got {dsp_timeout_s!r}"
             )
         self.dsp_timeout_s = dsp_timeout_s
         self.faults = faults
-        self.max_pending = max_pending
         self.stats = SchedulerStats()
         #: Rounds announced (via :meth:`announce`) but not yet submitted:
         #: the collector lingers only while this is positive, so a lone
         #: request never pays the linger and a burst fills its batch.
         self._announced = 0
-        self._queue: asyncio.Queue[_PendingRound] = asyncio.Queue(
-            maxsize=max_pending
-        )
+        self._queue: asyncio.Queue[_PendingRound] = asyncio.Queue()
         self._executor: ThreadPoolExecutor | None = None
         self._collector: asyncio.Task | None = None
 
@@ -320,26 +313,21 @@ class BatchingScheduler:
     ) -> tuple[RenderedRecordings, DetectionPair]:
         """Queue one prepared round; resolves with its recordings+detections.
 
-        ``announced=True`` consumes one prior :meth:`announce` slot
-        (whether or not the enqueue succeeds).  Raises
-        :class:`ServiceOverloaded` immediately when ``max_pending``
-        rounds are already queued.  ``expires_at`` (a loop time) makes
-        the round raise :class:`DeadlineExceeded` instead of running if
-        its batch is admitted after that instant; once admitted, a round
-        always completes.
+        ``announced=True`` consumes one prior :meth:`announce` slot.
+        ``expires_at`` (a loop time) makes the round raise
+        :class:`DeadlineExceeded` instead of running if its batch is
+        admitted after that instant; once admitted, a round always
+        completes.  :meth:`stop` fails a round still queued with
+        :class:`ServiceOverloaded`.
         """
         if announced:
             self.retract(1)
         future = asyncio.get_running_loop().create_future()
-        item = _PendingRound(
-            context, negotiation, planned, future, expires_at=expires_at
+        self._queue.put_nowait(
+            _PendingRound(
+                context, negotiation, planned, future, expires_at=expires_at
+            )
         )
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
-            raise ServiceOverloaded(
-                f"round queue full ({self.max_pending} pending)"
-            ) from None
         self.stats.queue_high_water = max(
             self.stats.queue_high_water, self._queue.qsize()
         )

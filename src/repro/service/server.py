@@ -14,9 +14,11 @@ Request lifecycle (see ``docs/service.md`` for the full narrative):
    it with whatever other requests are in flight into one
    ``render_arrivals`` + ``detect_batch`` pass on the DSP thread, each
    capture on a DSP lane;
-4. ``exchange_and_decide`` runs back on the request path, and the
-   round's :class:`~repro.service.protocol.RoundDecision` streams to the
-   caller immediately;
+4. ``exchange`` runs back on the request path and returns the round's
+   :class:`~repro.core.ranging.RangingOutcome`; :func:`round_decision`
+   decides it against the request's τ, and the round's
+   :class:`~repro.service.protocol.RoundDecision` streams to the caller
+   immediately;
 5. after the last round, the aggregate
    :class:`~repro.service.protocol.RequestComplete` (the PIANO
    grant/deny rule) terminates the stream.
@@ -27,9 +29,12 @@ requests cannot change bits (pipeline invariant 2) — so a served
 decision equals the same trial run by ``python -m repro`` exactly.
 The mapping behind it — :func:`request_spec` (request → ``TrialSpec``),
 :func:`round_decision` (outcome → wire) and :func:`aggregate_decision`
-(the PIANO grant/deny rule) — lives here, with the simulator imports it
-needs, so the wire layer :mod:`repro.service.protocol` stays
-stdlib-only for the router and the client.
+(the PIANO grant/deny rule over the streamed rounds) — lives here, with
+the simulator imports it needs, so the wire layer
+:mod:`repro.service.protocol` stays stdlib-only for the router and the
+client.  Both decision functions state no rule of their own: they ask
+:mod:`repro.core.decisions` whether a round is within τ and which deny
+reason its status carries.
 
 Lifecycle: :meth:`AuthService.begin_draining` flips the service into
 drain mode — requests already streaming finish normally while new ones
@@ -50,14 +55,15 @@ import asyncio
 from typing import AsyncIterator
 
 from repro.acoustics.environment import get_environment
+from repro.core.decisions import (
+    DENY_REASONS,
+    DenyReason,
+    round_reason,
+    within_threshold,
+)
 from repro.core.ranging import RangingOutcome, RangingStatus
 from repro.eval.engine import TrialSpec, build_trial_session
-from repro.sim.pipeline import (
-    exchange_and_decide,
-    negotiate,
-    render_noise,
-    schedule,
-)
+from repro.sim.pipeline import exchange, negotiate, render_noise, schedule
 from repro.service.calibration import CalibrationStore
 from repro.service.protocol import (
     CalibrateRequest,
@@ -122,16 +128,18 @@ def round_decision(
     trial: int,
     outcome: RangingOutcome,
 ) -> RoundDecision:
-    """Project one round's :class:`RangingOutcome` onto the wire."""
+    """Project one round's :class:`RangingOutcome` onto the wire.
+
+    ``accepted`` is :func:`~repro.core.decisions.within_threshold` at the
+    request's τ.
+    """
     return RoundDecision(
         request_id=request.request_id,
         round_index=round_index,
         trial=trial,
         status=outcome.status.value,
         distance_m=outcome.distance_m,
-        accepted=bool(
-            outcome.ok and outcome.require_distance() <= request.threshold_m
-        ),
+        accepted=within_threshold(outcome, request.threshold_m),
         elapsed_s=outcome.elapsed_s,
         energy_j=outcome.energy_j,
     )
@@ -144,25 +152,20 @@ def aggregate_decision(
 
     Mirrors :class:`~repro.core.piano.PianoAuthenticator`: rounds retry
     only on ⊥ (``signal_not_present``), so the first round with any other
-    status decides — grant iff it completed within τ.  If every round
-    returned ⊥ (or no rounds ran), the request is denied with
+    status decides, by its wire ``accepted`` flag and
+    :func:`~repro.core.decisions.round_reason`.  If every round returned
+    ⊥ (or no rounds ran), the request is denied with
     ``signal_not_present``.
     """
     for decision in decisions:
-        if decision.status == RangingStatus.SIGNAL_NOT_PRESENT.value:
+        status = RangingStatus(decision.status)
+        if status is RangingStatus.SIGNAL_NOT_PRESENT:
             continue
-        if decision.status == RangingStatus.BLUETOOTH_UNAVAILABLE.value:
-            reason = "out_of_bluetooth_range"
-        elif decision.status == RangingStatus.CHANNEL_TAMPERED.value:
-            reason = "channel_tampered"
-        elif decision.accepted:
-            reason = "none"
-        else:
-            reason = "distance_exceeds_threshold"
+        reason = round_reason(status, decision.accepted)
         return RequestComplete(
             request_id=request.request_id,
-            granted=decision.accepted,
-            reason=reason,
+            granted=reason is DenyReason.NONE,
+            reason=reason.value,
             decided_round=decision.round_index,
             rounds=len(decisions),
             distance_m=decision.distance_m,
@@ -170,7 +173,7 @@ def aggregate_decision(
     return RequestComplete(
         request_id=request.request_id,
         granted=False,
-        reason="signal_not_present",
+        reason=DENY_REASONS[RangingStatus.SIGNAL_NOT_PRESENT].value,
         decided_round=None,
         rounds=len(decisions),
         distance_m=None,
@@ -222,12 +225,6 @@ class AuthService:
 
     Parameters
     ----------
-    queue_limit:
-        Max rounds queued for DSP before a round is rejected with a
-        ``busy`` error.  A round joins the queue only while it holds a
-        ``max_inflight_rounds`` slot, so the queue never holds more than
-        ``max_inflight_rounds`` rounds: the limit rejects only when set
-        below that gate.
     shard_index / shard_count:
         This server's position in the sharded front tier, echoed in
         :class:`~repro.service.protocol.StatsReply` messages.  The
@@ -238,7 +235,8 @@ class AuthService:
         arrival plans until its DSP pass completes, so unbounded eager
         execution under high concurrency trades throughput for memory
         pressure; excess rounds wait their turn, without bound (they
-        are not rejected).
+        are not rejected).  Only a round holding a slot joins the DSP
+        queue, so this gate also bounds the queue.
     dsp_timeout_s:
         Upper bound on one DSP pass (see
         :class:`BatchingScheduler`); a pass over budget fails its rounds
@@ -259,7 +257,6 @@ class AuthService:
     def __init__(
         self,
         *,
-        queue_limit: int = 256,
         shard_index: int = 0,
         shard_count: int = 1,
         max_inflight_rounds: int = 32,
@@ -270,9 +267,7 @@ class AuthService:
         if fault_plan is not None and not fault_plan.empty:
             self.faults = FaultInjector(fault_plan)
         self.scheduler = BatchingScheduler(
-            max_pending=queue_limit,
-            dsp_timeout_s=dsp_timeout_s,
-            faults=self.faults,
+            dsp_timeout_s=dsp_timeout_s, faults=self.faults
         )
         if max_inflight_rounds < 1:
             raise ValueError(
@@ -348,8 +343,8 @@ class AuthService:
             )
             return
         if self.faults is not None and self.faults.take_busy():
-            # Injected backpressure bounce: indistinguishable from a
-            # real queue-full rejection — nothing was executed.
+            # Injected backpressure bounce: the same retry-later reply a
+            # draining service sends — nothing was executed.
             yield ErrorReply(
                 request_id=request.request_id,
                 code="busy",
@@ -472,7 +467,7 @@ class AuthService:
         """One ranging round: RNG stages inline, DSP via the scheduler.
 
         Consumes exactly one announced-round slot, whichever way it
-        exits (Bluetooth failure, queue overflow, deadline expiry,
+        exits (Bluetooth failure, a stopped scheduler, deadline expiry,
         cancellation).  ``expires_at`` is checked before the RNG stages
         start and again at batch admission — never mid-computation.
         """
@@ -501,7 +496,7 @@ class AuthService:
                 )
                 session.artifacts.recording_auth = recordings.auth
                 session.artifacts.recording_vouch = recordings.vouch
-                return exchange_and_decide(
+                return exchange(
                     ctx, negotiation, detections, rng, session.artifacts
                 )
         finally:

@@ -238,7 +238,7 @@ class ShardedAuthServer:
         directory by default.
     service_options:
         Keyword arguments forwarded to every worker's ``AuthService``
-        (``queue_limit``, ``max_inflight_rounds``, ``dsp_timeout_s``).
+        (``max_inflight_rounds``, ``dsp_timeout_s``).
         Must be picklable — they cross the spawn boundary.
     ready_timeout:
         Seconds to wait for each worker's socket to accept connections

@@ -4,8 +4,10 @@ Three modules (see ``docs/pipeline.md`` and ``docs/architecture.md``):
 
 * **stages** — the five typed, pure stages of one ACTION round
   (``negotiate`` → ``schedule`` → ``render`` → ``detect`` →
-  ``exchange_and_decide``) plus :func:`run_staged`, the serial chain that
-  :class:`repro.sim.session.RangingSession` wraps;
+  ``exchange``, which returns the round's
+  :class:`~repro.core.ranging.RangingOutcome`) plus :func:`run_staged`,
+  the serial chain that :class:`repro.sim.session.RangingSession` wraps.
+  No stage applies τ: :mod:`repro.core.decisions` decides an outcome;
 * **batch** — :func:`detect_batch`, the detection seam that observes
   each recording on its own DSP lane (``render_arrivals`` is its render
   counterpart; the streaming service's scheduler shares both), and
@@ -45,14 +47,12 @@ from repro.sim.pipeline.stages import (
     NegotiationResult,
     PlannedRender,
     RenderedRecordings,
-    RoundEvidence,
     SchedulePlan,
     SessionArtifacts,
     SessionContext,
     SessionTiming,
     detect,
     exchange,
-    exchange_and_decide,
     negotiate,
     radiated_reference_waveform,
     render,
@@ -72,7 +72,6 @@ __all__ = [
     "NegotiationResult",
     "PlannedRender",
     "RenderedRecordings",
-    "RoundEvidence",
     "SchedulePlan",
     "SessionArtifacts",
     "SessionContext",
@@ -80,7 +79,6 @@ __all__ = [
     "detect",
     "detect_batch",
     "exchange",
-    "exchange_and_decide",
     "negotiate",
     "radiated_reference_waveform",
     "render",

@@ -16,7 +16,8 @@ B at a time, and can account each stage's wall clock:
 3. ``detect`` observes all 2·B recordings, one recording per DSP lane
    (:func:`detect_batch`); each observation computes its coarse pass
    once and then the own and remote fine scans;
-4. ``exchange_and_decide`` executes per session, again on the session RNG.
+4. ``exchange`` executes per session, again on the session RNG, and
+   returns the round's :class:`~repro.core.ranging.RangingOutcome`.
 
 Detection is a pure function of the recordings and a recording's scans
 read nothing else, so the runner's outcomes are bit-identical to the
@@ -45,7 +46,7 @@ from repro.sim.pipeline.stages import (
     RenderedRecordings,
     SessionArtifacts,
     SessionContext,
-    exchange_and_decide,
+    exchange,
     negotiate,
     record_schedule_artifacts,
     render_arrivals,
@@ -229,7 +230,7 @@ class BatchedSessionRunner:
         mark = self._account("detect", mark)
 
         for item, detections in zip(prepared, detections_all):
-            outcomes[item.index] = exchange_and_decide(
+            outcomes[item.index] = exchange(
                 item.session.context,
                 item.negotiation,
                 detections,

@@ -12,17 +12,15 @@ dataclasses:
 * :func:`detect` — Step IV: both devices run the detector;
 * :func:`exchange` — Steps V–VI: the vouch report crosses the secure
   channel, Eq. 3 runs, and the cost model charges the battery, producing
-  a threshold-free :class:`RoundEvidence`;
-* :func:`exchange_and_decide` — the historical composition: ``exchange``
-  followed by :meth:`RoundEvidence.outcome`.
+  the round's :class:`~repro.core.ranging.RangingOutcome`.
 
-The split between ``exchange`` and the decision is the **decide seam**:
-everything up to and including ``exchange`` is independent of the
-authentication threshold τ, so one round's evidence can be fanned out
-across arbitrarily many :class:`repro.core.decisions.DecisionPolicy`
-instances (threshold grids, calibration contexts) without re-rendering
-or re-detecting anything — see ``docs/pipeline.md`` and
-:mod:`repro.eval.sweep`.
+No stage applies the authentication threshold τ: the decision is the
+**decide seam** after :func:`exchange`, where
+:mod:`repro.core.decisions` turns an outcome into grant or deny.  So one
+round's outcome can be decided under arbitrarily many
+:class:`repro.core.decisions.DecisionPolicy` instances (threshold grids,
+calibration contexts) without re-rendering or re-detecting anything —
+see ``docs/pipeline.md`` and :mod:`repro.eval.sweep`.
 
 A stage's only side channels are the per-session RNG it consumes (in
 exactly the order the monolithic ``RangingSession.run`` always drew — see
@@ -36,8 +34,7 @@ detect all 2·B captures independently on the process's DSP lanes
 event loop and DSP thread.
 
 :func:`run_staged` chains the stages for one session;
-:class:`repro.sim.session.RangingSession` is the thin compatibility
-wrapper around it.
+:class:`repro.sim.session.RangingSession` wraps it.
 """
 
 from __future__ import annotations
@@ -86,7 +83,6 @@ __all__ = [
     "PlannedRender",
     "RenderedRecordings",
     "DetectionPair",
-    "RoundEvidence",
     "radiated_reference_waveform",
     "negotiate",
     "schedule",
@@ -95,7 +91,6 @@ __all__ = [
     "render_arrivals",
     "detect",
     "exchange",
-    "exchange_and_decide",
     "session_cost",
     "run_staged",
     "render_call_counts",
@@ -244,79 +239,6 @@ class DetectionPair:
 
     auth: DeviceObservation
     vouch: DeviceObservation
-
-
-@dataclass(frozen=True)
-class RoundEvidence:
-    """Everything one round produced *before* any threshold is applied.
-
-    The frozen output of the :func:`exchange` stage: the terminal status,
-    the Eq. 3 distance estimate, both devices' detection observations
-    (candidate peak powers, presence verdicts, detected locations — the
-    estimated-distance inputs), and the modeled round cost.  Evidence is
-    a pure function of the rendered recordings plus the report-transfer
-    RNG draw; the authentication threshold τ never enters it, which is
-    what lets one rendered round feed arbitrarily many
-    :class:`repro.core.decisions.DecisionPolicy` fan-outs
-    (:mod:`repro.eval.sweep`) and lets the service calibrate τ from
-    cached evidence (``docs/service.md``).
-
-    Field-for-field this is the same data as
-    :class:`~repro.core.ranging.RangingOutcome` — deliberately:
-    :meth:`outcome` and :meth:`from_outcome` convert in both directions
-    without loss, so every cached ``CellResult`` (a list of outcomes,
-    keyed by a threshold-free spec fingerprint) *is* reusable evidence.
-    """
-
-    status: RangingStatus
-    distance_m: float | None = None
-    auth_observation: DeviceObservation | None = None
-    vouch_observation: DeviceObservation | None = None
-    elapsed_s: float = 0.0
-    energy_j: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        """Whether ranging completed (``distance_m`` is meaningful)."""
-        return self.status is RangingStatus.OK
-
-    @property
-    def presence(self) -> bool:
-        """The presence verdict: every reference signal was detected."""
-        return self.status is not RangingStatus.SIGNAL_NOT_PRESENT
-
-    def require_distance(self) -> float:
-        """The Eq. 3 estimate, raising if the round did not complete."""
-        if self.distance_m is None:
-            raise ValueError(f"round ended with status {self.status}")
-        return self.distance_m
-
-    def outcome(self) -> RangingOutcome:
-        """This evidence as the round's terminal :class:`RangingOutcome`."""
-        return RangingOutcome(
-            status=self.status,
-            distance_m=self.distance_m,
-            auth_observation=self.auth_observation,
-            vouch_observation=self.vouch_observation,
-            elapsed_s=self.elapsed_s,
-            energy_j=self.energy_j,
-        )
-
-    @classmethod
-    def from_outcome(cls, outcome: RangingOutcome) -> "RoundEvidence":
-        """Recover the evidence view of an already-executed round.
-
-        The inverse of :meth:`outcome`; how cached cell results are fanned
-        back out across new decision policies without re-rendering.
-        """
-        return cls(
-            status=outcome.status,
-            distance_m=outcome.distance_m,
-            auth_observation=outcome.auth_observation,
-            vouch_observation=outcome.vouch_observation,
-            elapsed_s=outcome.elapsed_s,
-            energy_j=outcome.energy_j,
-        )
 
 
 # Module-wide render accounting: how many per-session RNG render plans
@@ -584,15 +506,15 @@ def exchange(
     detections: DetectionPair,
     rng: np.random.Generator,
     artifacts: SessionArtifacts | None = None,
-) -> RoundEvidence:
+) -> RangingOutcome:
     """Steps V–VI: vouch report, Eq. 3, cost model, battery drain.
 
     The last RNG-consuming stage (one report-transfer draw, in the exact
     historical order) and the last stage with a side effect (the battery
-    drain).  Its :class:`RoundEvidence` output is threshold-free: the
-    decision against any τ — or any richer
+    drain).  Its :class:`RangingOutcome` carries no threshold: the
+    decision against any τ — or any
     :class:`repro.core.decisions.DecisionPolicy` — is a pure function of
-    this evidence, evaluated as many times as wanted at no ranging cost.
+    it, evaluated as many times as wanted at no ranging cost.
     """
     vouch_obs = detections.vouch
     report = VouchReport(
@@ -605,7 +527,7 @@ def exchange(
     try:
         delivered, report_latency = ctx.link.transfer(report, rng)
     except PairingError:
-        return RoundEvidence(status=RangingStatus.BLUETOOTH_UNAVAILABLE)
+        return RangingOutcome(status=RangingStatus.BLUETOOTH_UNAVAILABLE)
     assert isinstance(delivered, VouchReport)
     if artifacts is not None:
         artifacts.report = delivered
@@ -617,7 +539,7 @@ def exchange(
         ctx, detections.auth, negotiation.init_latency_s + report_latency
     )
     ctx.auth_device.battery.drain(energy)
-    return RoundEvidence(
+    return RangingOutcome(
         status=outcome.status,
         distance_m=outcome.distance_m,
         auth_observation=detections.auth,
@@ -625,24 +547,6 @@ def exchange(
         elapsed_s=elapsed,
         energy_j=energy,
     )
-
-
-def exchange_and_decide(
-    ctx: SessionContext,
-    negotiation: NegotiationResult,
-    detections: DetectionPair,
-    rng: np.random.Generator,
-    artifacts: SessionArtifacts | None = None,
-) -> RangingOutcome:
-    """Steps V–VI as one terminal stage: :func:`exchange`, then project.
-
-    The historical entry point every execution path calls; since the
-    decide-seam split it is exactly ``exchange(...).outcome()`` — the
-    same field values flowing through a :class:`RoundEvidence`, so the
-    returned :class:`RangingOutcome` is bit-identical to the pre-split
-    implementation (asserted in ``tests/test_pipeline.py``).
-    """
-    return exchange(ctx, negotiation, detections, rng, artifacts).outcome()
 
 
 def session_cost(
@@ -717,4 +621,4 @@ def run_staged(
         artifacts.recording_vouch = recordings.vouch
 
     (detections,) = detect_batch([(ctx, negotiation, recordings)])
-    return exchange_and_decide(ctx, negotiation, detections, rng, artifacts)
+    return exchange(ctx, negotiation, detections, rng, artifacts)

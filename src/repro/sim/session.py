@@ -12,15 +12,15 @@ The session drives the six protocol steps end to end with realistic timing:
 * Step V   — the vouching device reports its local time difference;
 * Step VI  — the authenticating device evaluates Eq. 3.
 
-Since the staged-pipeline refactor the actual work lives in
-:mod:`repro.sim.pipeline`: each step above is a typed, pure stage
-(``negotiate`` → ``schedule`` → ``render`` → ``detect`` →
-``exchange_and_decide``) over frozen dataclasses, and
-:class:`RangingSession` is the thin compatibility wrapper that bundles a
-:class:`~repro.sim.pipeline.SessionContext` with its per-session RNG
-stream and chains the stages.  The historical import surface
-(``SessionTiming``, ``SessionArtifacts``, ``InterferenceProvider``,
-``radiated_reference_waveform``) re-exports from the pipeline package.
+The work lives in :mod:`repro.sim.pipeline`: each step above is a typed,
+pure stage (``negotiate`` → ``schedule`` → ``render`` → ``detect`` →
+``exchange``) over frozen dataclasses, and :class:`RangingSession`
+bundles a :class:`~repro.sim.pipeline.SessionContext` (``context``) with
+its per-session RNG stream (``rng``) and diagnostics (``artifacts``);
+:meth:`RangingSession.run` chains the stages and returns the round's
+:class:`~repro.core.ranging.RangingOutcome`.  ``SessionTiming``,
+``SessionArtifacts``, ``InterferenceProvider`` and
+``radiated_reference_waveform`` re-export from the pipeline package.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from repro.acoustics.environment import Environment
 from repro.acoustics.propagation import PropagationModel
 from repro.comms.bluetooth import BluetoothLink
-from repro.core.config import ProtocolConfig
 from repro.core.ranging import RangingEngine, RangingOutcome
 from repro.devices.battery import ComponentPower
 from repro.devices.device import Device
@@ -96,67 +95,6 @@ class RangingSession:
         )
         self.rng = rng
         self.artifacts = SessionArtifacts()
-
-    # ------------------------------------------------------------------
-    # Compatibility surface: the pre-pipeline attribute names.
-    # ------------------------------------------------------------------
-
-    @property
-    def action(self) -> RangingEngine:
-        return self.context.action
-
-    @property
-    def link(self) -> BluetoothLink:
-        return self.context.link
-
-    @property
-    def auth_device(self) -> Device:
-        return self.context.auth_device
-
-    @property
-    def vouch_device(self) -> Device:
-        return self.context.vouch_device
-
-    @property
-    def environment(self) -> Environment:
-        return self.context.environment
-
-    @property
-    def room(self) -> Room:
-        return self.context.room
-
-    @property
-    def propagation(self) -> PropagationModel:
-        return self.context.propagation
-
-    @property
-    def timing(self) -> SessionTiming:
-        return self.context.timing
-
-    @property
-    def session_id(self) -> int:
-        return self.context.session_id
-
-    @property
-    def interference(self) -> tuple[InterferenceProvider, ...]:
-        """The session's interference providers (immutable).
-
-        Returned as the context's tuple so a stale mutation pattern
-        (``session.interference.append(...)``) fails loudly instead of
-        silently editing a throwaway copy — providers are fixed at
-        construction time now that the context is frozen.
-        """
-        return self.context.interference
-
-    @property
-    def component_power(self) -> ComponentPower:
-        return self.context.component_power
-
-    @property
-    def config(self) -> ProtocolConfig:
-        return self.context.config
-
-    # ------------------------------------------------------------------
 
     def run(self) -> RangingOutcome:
         """Execute the full round and return the Step-VI outcome."""

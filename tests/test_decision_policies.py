@@ -1,11 +1,13 @@
-"""The decide seam: policies, evidence, vectorized FRR/FAR, calibration.
+"""The decide seam: policies, the one grant rule, vectorized FRR/FAR,
+calibration.
 
 Pinned contracts:
 
-* ``exchange_and_decide`` ≡ ``exchange(...).outcome()`` — the evidence
-  split cannot change a single bit of the decide path;
-* :class:`ThresholdPolicy` reproduces ``PianoAuthenticator``'s
-  single-round decision exactly, for every status and threshold;
+* every consumer of PIANO's rule — ``PianoAuthenticator``,
+  :class:`ThresholdPolicy`, :class:`ThresholdGridPolicy` and the
+  service's ``round_decision`` folded by ``aggregate_decision`` — agrees
+  on grant and reason, for every status, estimate, τ and ⊥-retry
+  sequence of one truth table;
 * :class:`ThresholdGridPolicy` ≡ a tuple of single policies;
 * the vectorized :class:`GaussianAuthModel` curves are bit-identical to
   the pre-vectorization scalar integration (inlined here as the
@@ -28,37 +30,21 @@ from repro.core.decisions import (
     DenyReason,
     ThresholdGridPolicy,
     ThresholdPolicy,
-    decide_round,
 )
 from repro.core.piano import PianoAuthenticator
 from repro.core.ranging import RangingOutcome, RangingStatus
-from repro.eval.engine import TrialSpec, build_trial_session, run_cell_spec
 from repro.eval.frr_far import PAPER_SIGMAS_M, THRESHOLDS_M, GaussianAuthModel
 from repro.service.calibration import CalibrationStore, robust_sigma
 from repro.service.protocol import (
     CalibrateReply,
     CalibrateRequest,
+    RangingRequest,
     decode_message,
     encode_message,
 )
-from repro.sim.pipeline import (
-    RoundEvidence,
-    detect,
-    exchange,
-    exchange_and_decide,
-    negotiate,
-    render,
-    schedule,
-)
+from repro.service.server import aggregate_decision, round_decision
 
 PAPER_TAUS = THRESHOLDS_M  # (0.5, 1.0, 1.5, 2.0)
-
-
-def _cell_outcomes(distance=1.0, trials=3, environment="office"):
-    spec = TrialSpec(
-        environment=environment, distance_m=distance, n_trials=trials, seed=0
-    )
-    return run_cell_spec(spec).outcomes
 
 
 def _synthetic_outcomes():
@@ -75,76 +61,106 @@ def _synthetic_outcomes():
 
 
 # ----------------------------------------------------------------------
-# Evidence seam
+# One rule, every consumer
 # ----------------------------------------------------------------------
 
+TRUTH_TAUS = (0.5, 1.0)
+GRANT = (True, DenyReason.NONE)
+TOO_FAR = (False, DenyReason.DISTANCE_EXCEEDS_THRESHOLD)
+#: Completed rounds, by (estimate, τ); "tau" is an estimate of exactly τ.
+OK_VERDICTS = {
+    # A negative estimate is impossible evidence, yet it grants today:
+    # the fail-closed check of ROADMAP item 1 changes these two rows on
+    # purpose.
+    (-0.74, 0.5): GRANT,
+    (-0.74, 1.0): GRANT,
+    (0.4, 0.5): GRANT,
+    (0.4, 1.0): GRANT,
+    ("tau", 0.5): GRANT,
+    ("tau", 1.0): GRANT,
+    (1.7, 0.5): TOO_FAR,
+    (1.7, 1.0): TOO_FAR,
+}
+#: Rounds that did not complete deny whatever distance they carry.
+STATUS_VERDICTS = {
+    RangingStatus.SIGNAL_NOT_PRESENT: (False, DenyReason.SIGNAL_NOT_PRESENT),
+    RangingStatus.BLUETOOTH_UNAVAILABLE: (
+        False,
+        DenyReason.OUT_OF_BLUETOOTH_RANGE,
+    ),
+    RangingStatus.CHANNEL_TAMPERED: (False, DenyReason.CHANNEL_TAMPERED),
+}
+TRUTH_CASES = [
+    (status, estimate, tau, bottoms)
+    for status in RangingStatus
+    for estimate, tau in OK_VERDICTS
+    for bottoms in (0, 2)
+]
 
-def _run_stages(spec, trial, *, use_evidence):
-    session = build_trial_session(spec, trial)
-    ctx, rng = session.context, session.rng
-    negotiation = negotiate(ctx, rng)
-    if negotiation.failure is not None:
-        return negotiation.failure
-    plan = schedule(ctx, negotiation, rng)
-    recordings = render(ctx, plan, rng)
-    detections = detect(ctx, negotiation, recordings)
-    if use_evidence:
-        return exchange(ctx, negotiation, detections, rng).outcome()
-    return exchange_and_decide(ctx, negotiation, detections, rng)
+
+class _Paired:
+    """A pairing view whose vouching device is paired and in range."""
+
+    def is_paired(self) -> bool:
+        return True
+
+    def in_range(self) -> bool:
+        return True
 
 
-def test_exchange_and_decide_is_exchange_then_outcome():
-    spec = TrialSpec(
-        environment="office", distance_m=1.0, n_trials=3, seed=0
+@pytest.mark.parametrize(
+    "status, estimate, tau, bottoms",
+    TRUTH_CASES,
+    ids=[f"{s.value}-{e}-tau{t}-bottoms{b}" for s, e, t, b in TRUTH_CASES],
+)
+def test_every_consumer_applies_one_rule(status, estimate, tau, bottoms):
+    """``bottoms`` ⊥ rounds, then a round with ``status`` and ``estimate``."""
+    distance = tau if estimate == "tau" else estimate
+    decided = RangingOutcome(
+        status=status, distance_m=distance, elapsed_s=2.5, energy_j=0.01
     )
-    for trial in range(spec.n_trials):
-        via_evidence = _run_stages(spec, trial, use_evidence=True)
-        direct = _run_stages(spec, trial, use_evidence=False)
-        assert via_evidence == direct
+    bottom = RangingOutcome(
+        status=RangingStatus.SIGNAL_NOT_PRESENT, elapsed_s=2.0, energy_j=0.02
+    )
+    rounds = [bottom] * bottoms + [decided]
+    expected = (
+        OK_VERDICTS[(estimate, tau)]
+        if status is RangingStatus.OK
+        else STATUS_VERDICTS[status]
+    )
 
+    # The authenticator gets as many rounds as the service's request.
+    ranger = iter(rounds)
+    piano = PianoAuthenticator(
+        AuthConfig(threshold_m=tau, max_retries=len(rounds) - 1)
+    ).authenticate(_Paired(), lambda: next(ranger))
+    assert (piano.granted, piano.reason) == expected
+    assert piano.rounds == len(rounds)
 
-def test_round_evidence_outcome_round_trip():
-    for outcome in _synthetic_outcomes() + list(_cell_outcomes(trials=2)):
-        evidence = RoundEvidence.from_outcome(outcome)
-        assert evidence.outcome() == outcome
-        assert evidence.ok == outcome.ok
-        assert evidence.status is outcome.status
-        if outcome.ok:
-            assert evidence.require_distance() == outcome.require_distance()
-        else:
-            assert evidence.presence == (
-                outcome.status is not RangingStatus.SIGNAL_NOT_PRESENT
-            )
+    single = ThresholdPolicy(tau).decide(decided)
+    assert (single.granted, single.reason) == expected
+    if not bottoms:
+        assert piano == single
+    grid = ThresholdGridPolicy(TRUTH_TAUS).decide(decided)
+    assert grid[TRUTH_TAUS.index(tau)] == single
 
-
-def test_round_evidence_require_distance_raises_without_estimate():
-    evidence = RoundEvidence(status=RangingStatus.SIGNAL_NOT_PRESENT)
-    with pytest.raises(ValueError):
-        evidence.require_distance()
+    request = RangingRequest(request_id="t", threshold_m=tau, rounds=len(rounds))
+    complete = aggregate_decision(
+        request,
+        [
+            round_decision(request, index, index, outcome)
+            for index, outcome in enumerate(rounds)
+        ],
+    )
+    assert (complete.granted, complete.reason) == (
+        expected[0],
+        expected[1].value,
+    )
 
 
 # ----------------------------------------------------------------------
 # Policies
 # ----------------------------------------------------------------------
-
-
-def test_threshold_policy_matches_piano_single_round():
-    outcomes = _synthetic_outcomes() + list(_cell_outcomes(trials=2))
-    for tau in PAPER_TAUS:
-        policy = ThresholdPolicy(tau)
-        piano = PianoAuthenticator(AuthConfig(threshold_m=tau))
-        for outcome in outcomes:
-            expected = piano._decide(
-                outcome, 1, outcome.elapsed_s, outcome.energy_j
-            )
-            assert policy.decide(outcome) == expected
-
-
-def test_threshold_policy_accepts_round_evidence():
-    policy = ThresholdPolicy(1.0)
-    for outcome in _synthetic_outcomes():
-        evidence = RoundEvidence.from_outcome(outcome)
-        assert policy.decide(evidence) == policy.decide(outcome)
 
 
 def test_grid_policy_equals_tuple_of_single_policies():
@@ -155,7 +171,6 @@ def test_grid_policy_equals_tuple_of_single_policies():
             ThresholdPolicy(tau).decide(outcome) for tau in PAPER_TAUS
         )
         assert fanned == singles
-        assert decide_round(outcome, grid) == fanned
 
 
 def test_grid_policy_normalizes_threshold_sequence():

@@ -121,3 +121,35 @@ def test_checker_checks_tool_flags_in_inline_code_spans(tmp_path, monkeypatch):
     assert checker.run_checks() == [
         "README.md: unknown flag '--retry-forever' on 'tools/loadgen.py'",
     ]
+
+
+def test_checker_reports_missing_markdown_cited_in_code(tmp_path, monkeypatch):
+    """Every ``*.md`` a source comment or string, or a test comment or
+    docstring, names must exist; a test's other strings are test data."""
+    checker = _load_checker()
+    root = tmp_path
+    (root / "docs").mkdir()
+    (root / "src" / "repro").mkdir(parents=True)
+    (root / "tests").mkdir()
+    (root / "README.md").write_text("nothing to resolve\n")
+    (root / "DESIGN.md").write_text("# Design notes\n")
+    (root / "src" / "repro" / "mod.py").write_text(
+        '"""See DESIGN.md §3 and docs/gone.md."""\n'
+        "# aliasing: NOTES.md\n"
+        'HELP = "printed: see EXPERIMENTS.md"\n'
+    )
+    (root / "tests" / "test_mod.py").write_text(
+        '"""Pinned in docs/absent.md."""\n'
+        "\n"
+        "\n"
+        "def test_fixture(tmp_path):\n"
+        '    """Writes README.md."""\n'
+        '    (tmp_path / "README.md").write_text("[a](docs/missing.md)")\n'
+    )
+    monkeypatch.setattr(checker, "REPO_ROOT", root)
+    assert sorted(checker.run_checks()) == [
+        "src/repro/mod.py:1: cites missing file 'docs/gone.md'",
+        "src/repro/mod.py:2: cites missing file 'NOTES.md'",
+        "src/repro/mod.py:3: cites missing file 'EXPERIMENTS.md'",
+        "tests/test_mod.py:1: cites missing file 'docs/absent.md'",
+    ]

@@ -7,8 +7,8 @@ Covers the three contracts of ``docs/service.md``:
   by the CLI engine's ``run_cell_spec``;
 * **codec** — every protocol message round-trips through the JSON wire
   encoding, and malformed input fails loudly;
-* **backpressure** — the round queue is bounded and overflow surfaces as
-  a ``busy`` error, not unbounded queueing.
+* **backpressure** — a round the scheduler could not run (it stopped)
+  surfaces as a ``busy`` error, and abandoned rounds cost no DSP pass.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ SAMPLE_MESSAGES = [
         rounds=2,
         distance_m=None,
     ),
-    ErrorReply(request_id="r-9", code="busy", message="round queue full"),
+    ErrorReply(request_id="r-9", code="busy", message="scheduler stopped"),
 ]
 
 
@@ -451,50 +451,12 @@ def test_invalid_requests_get_bad_request(bad_fields):
     assert messages[0].request_id == fields["request_id"]
 
 
-def test_scheduler_queue_limit_raises_overloaded():
-    spec = TrialSpec(environment=ENV, distance_m=0.8, n_trials=3, seed=SEED)
-
-    def prepare(trial):
-        session = build_trial_session(spec, trial)
-        ctx, rng = session.context, session.rng
-        negotiation = negotiate(ctx, rng)
-        assert negotiation.failure is None
-        plan = schedule(ctx, negotiation, rng)
-        return ctx, negotiation, render_noise(ctx, plan, rng)
-
-    async def go():
-        scheduler = BatchingScheduler(max_pending=2)
-        # Not started: submissions queue up against the limit.
-        tasks = [
-            asyncio.get_running_loop().create_task(
-                scheduler.run_round(*prepare(trial))
-            )
-            for trial in range(3)
-        ]
-        await asyncio.sleep(0)  # let all three submit
-        overloaded = [t for t in tasks if t.done()]
-        assert len(overloaded) == 1
-        with pytest.raises(ServiceOverloaded):
-            overloaded[0].result()
-        # Once the collector runs, the two queued rounds complete.
-        await scheduler.start()
-        done = await asyncio.gather(
-            *(t for t in tasks if t is not overloaded[0])
-        )
-        await scheduler.stop()
-        assert all(recordings is not None for recordings, _ in done)
-        return scheduler.stats
-
-    stats = run_async(go())
-    assert stats.rounds == 2
-
-
 def test_service_surfaces_busy_error(monkeypatch):
     async def go():
         service = AuthService()
 
         async def overloaded(*args, **kwargs):
-            raise ServiceOverloaded("round queue full (test)")
+            raise ServiceOverloaded("scheduler stopped (test)")
 
         monkeypatch.setattr(service.scheduler, "run_round", overloaded)
         async with service:
@@ -600,7 +562,7 @@ def test_abandoned_rounds_are_not_executed():
 
 def test_scheduler_stop_fails_queued_rounds():
     async def go():
-        scheduler = BatchingScheduler(max_pending=4)
+        scheduler = BatchingScheduler()
         spec = TrialSpec(
             environment=ENV, distance_m=0.8, n_trials=1, seed=SEED
         )

@@ -8,8 +8,8 @@ Covers the scaling contracts of ``docs/service.md``:
 * **least-owed routing** — a request goes to the live shard owing the
   fewest rounds, ties to the session's stable home shard, and the owed
   counts settle to zero however requests end;
-* **backpressure** — a saturated DSP lane surfaces as a ``busy`` error,
-  and only rounds holding an in-flight slot queue for DSP;
+* **backpressure** — only rounds holding an in-flight slot queue for
+  DSP, so the gate bounds the queue;
 * **graceful shutdown** — draining finishes in-flight streams while new
   requests get ``busy``, both in-process and through a worker SIGTERM;
 * **telemetry** — the ``stats`` wire message reports the scheduler's
@@ -244,42 +244,17 @@ def test_sharded_server_matches_engine_cells(workers):
 
 
 # ----------------------------------------------------------------------
-# Backpressure under a saturated pool
+# Backpressure: the in-flight gate bounds the DSP queue
 # ----------------------------------------------------------------------
 
 
-def test_saturated_pool_surfaces_busy_over_tcp():
-    async def go():
-        # A 2-round queue behind a 64-round gate: eager round
-        # preparation outruns the DSP pass and overflows into ``busy``.
-        service = AuthService(queue_limit=2, max_inflight_rounds=64)
-        async with service:
-            server = await service.serve("127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            async with await AuthClient.connect("127.0.0.1", port) as client:
-                with pytest.raises(ServiceError) as excinfo:
-                    await client.authenticate(
-                        environment=ENV,
-                        distance_m=0.8,
-                        seed=SEED,
-                        rounds=30,
-                        threshold_m=2.0,
-                    )
-            server.close()
-            await server.wait_closed()
-            return excinfo.value
-
-    error = run_async(go())
-    assert error.code == "busy"
-
-
-def test_queue_limit_above_the_inflight_gate_never_rejects():
-    """Only rounds holding one of the 32 ``max_inflight_rounds`` slots
-    join the DSP queue, so a limit of 33 cannot fire: the remaining rounds
-    wait at the gate, and a 40-round request completes."""
+def test_inflight_gate_bounds_the_dsp_queue():
+    """Only rounds holding one of the default 32 ``max_inflight_rounds``
+    slots join the DSP queue: the remaining rounds of a 40-round request
+    wait at the gate, and the request completes."""
 
     async def go():
-        async with AuthService(queue_limit=33) as service:
+        async with AuthService() as service:
             request = RangingRequest(
                 request_id="gate",
                 environment=ENV,

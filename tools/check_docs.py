@@ -24,6 +24,15 @@ does not resolve against the actual codebase:
 * **Relative links** — every ``[text](path)`` markdown link that is not
   an URL or anchor must point at an existing file.
 
+The documents are ``README.md``, ``DESIGN.md`` and every ``docs/*.md``.
+The code is held to one rule too: every ``*.md`` path a ``.py`` file
+under ``src/`` or ``tests/`` names must exist, relative to the
+repository root.  Under ``src/`` that is every comment and string
+literal (docstrings, help texts, printed reports); under ``tests/``
+only comments and docstrings, because a test's other string literals
+are test data (this checker's own tests write a README linking the
+missing ``docs/missing.md``).
+
 Run from the repository root (CI's docs job does)::
 
     PYTHONPATH=src python tools/check_docs.py [--verbose]
@@ -32,11 +41,14 @@ Run from the repository root (CI's docs job does)::
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import importlib.util
+import io
 import itertools
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +65,10 @@ INLINE_TOOL_RE = re.compile(r"^(?:python3? )?(tools/[A-Za-z0-9_]+\.py)(.*)")
 #: An inline code span that is exactly one flag, optionally with a
 #: placeholder metavar ("--jobs N", "--cache-dir DIR").
 INLINE_FLAG_RE = re.compile(r"^(--[a-z][a-z0-9-]*)(?:[= ][A-Za-z0-9_./-]+)?$")
+#: A relative path to a markdown file ("DESIGN.md", "docs/service.md").
+MD_PATH_RE = re.compile(r"(?<![\w./-])(?:[\w.-]+/)*[\w-]+\.md\b")
+#: Token types carrying string-literal text (f-string text on 3.12+).
+STRING_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
 
 
 def split_markdown(text: str) -> tuple[list[str], list[str]]:
@@ -305,13 +321,56 @@ def check_document(path: Path, verbose: bool) -> list[str]:
     return problems
 
 
+def code_citations(path: Path, docstrings_only: bool) -> list[tuple[int, str]]:
+    """(line, path) for every ``*.md`` path named in ``path``'s comments
+    and string literals (only its docstrings if ``docstrings_only``)."""
+    source = path.read_text(encoding="utf-8")
+    docstrings = {
+        (node.body[0].value.lineno, node.body[0].value.col_offset)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        )
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+    found = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT or (
+            token.type in STRING_TOKENS
+            and (not docstrings_only or token.start in docstrings)
+        ):
+            for match in MD_PATH_RE.finditer(token.string):
+                line = token.start[0] + token.string.count("\n", 0, match.start())
+                found.append((line, match.group()))
+    return found
+
+
+def check_code_citations() -> list[str]:
+    """A problem line for every ``*.md`` cited in code that does not exist."""
+    problems: list[str] = []
+    for tree, docstrings_only in (("src", False), ("tests", True)):
+        for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+            label = path.relative_to(REPO_ROOT)
+            for line, cited in code_citations(path, docstrings_only):
+                if not (REPO_ROOT / cited).exists():
+                    problems.append(f"{label}:{line}: cites missing file {cited!r}")
+    return problems
+
+
 def run_checks(verbose: bool = False) -> list[str]:
-    documents = [REPO_ROOT / "README.md"]
+    documents = [
+        REPO_ROOT / name
+        for name in ("README.md", "DESIGN.md")
+        if (REPO_ROOT / name).exists()
+    ]
     documents.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
     problems: list[str] = []
     for path in documents:
         problems.extend(check_document(path, verbose))
-    return problems
+    return problems + check_code_citations()
 
 
 def main(argv=None) -> int:

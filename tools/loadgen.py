@@ -27,6 +27,7 @@ import asyncio
 import json
 import sys
 
+from repro.cli import port
 from repro.service.client import RetryPolicy
 from repro.service.loadgen import LOADGEN_MODES, run_loadgen
 
@@ -36,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate load against a running repro serve endpoint."
     )
     parser.add_argument("--host", default="127.0.0.1", help="server host")
-    parser.add_argument("--port", type=int, default=8765, help="server port")
+    parser.add_argument("--port", type=port, default=8765, help="server port")
     parser.add_argument(
         "--mode",
         choices=LOADGEN_MODES,
