@@ -25,6 +25,13 @@ lane count with the host's ``cpus``.  Served throughput and
 latency are measured by the benchmark contract instead (``perfbench/``,
 workloads ``serve-light`` and ``serve-hot``).
 
+A **process_start** section starts :data:`PROCESS_STARTS` fresh
+interpreters (after warming every CPU and one unmeasured start that
+byte-compiles the package) and records the median seconds they take to
+import what a DSP process imports (``repro.service.server``,
+``repro.eval.engine``) and their median peak resident set (``VmHWM``)
+after one round.
+
 A **roc_sweep** section measures the decide seam's amortization
 (:mod:`repro.eval.sweep`): a 16-threshold × all-scenes ROC sweep off
 one render set versus naively re-rendering the scene matrix per
@@ -47,6 +54,9 @@ import json
 import math
 import os
 import platform
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
@@ -68,6 +78,21 @@ LANE_COUNTS = (1, 2)
 LANE_BLOCKS = 4
 #: Seconds every CPU spins before multi-core timing starts.
 WARMUP_S = 2.0
+#: Fresh interpreters the process_start section measures.
+PROCESS_STARTS = 5
+
+#: One DSP process's start: its imports, then one round.
+_PROCESS_START_SCRIPT = """
+import json, time
+start = time.perf_counter()
+import repro.service.server, repro.eval.engine
+import_s = time.perf_counter() - start
+from repro.eval.engine import TrialSpec, build_trial_session
+build_trial_session(TrialSpec("office", 1.0, 1, 0), 0).run()
+with open("/proc/self/status") as status:
+    hwm_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"import_s": import_s, "vmhwm_mib": hwm_kib / 1024}))
+"""
 
 
 def _fig1_specs(trials: int) -> list[TrialSpec]:
@@ -213,6 +238,37 @@ def _measure_lanes(specs) -> dict:
     return section
 
 
+def _measure_process_start(starts: int = PROCESS_STARTS) -> dict:
+    """Median import seconds and peak RSS of fresh DSP processes.
+
+    The children may write bytecode, so the unmeasured first start
+    leaves the package compiled, as an installed one is.  Every CPU is
+    warmed first: a start on a freshly woken vCPU reads ~40 % slower.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(src)
+
+    def start() -> dict:
+        result = subprocess.run(
+            [sys.executable, "-c", _PROCESS_START_SCRIPT],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return json.loads(result.stdout)
+
+    warm_cpus()
+    start()
+    runs = [start() for _ in range(starts)]
+    return {
+        "starts": starts,
+        "imports": ["repro.service.server", "repro.eval.engine"],
+        "import_s": round(statistics.median(r["import_s"] for r in runs), 3),
+        "vmhwm_mib_after_round": round(
+            statistics.median(r["vmhwm_mib"] for r in runs), 1
+        ),
+    }
+
+
 def _measure_roc_sweep(trials: int, seed: int = 0) -> dict:
     """One-render-set ROC sweep vs naive per-threshold re-rendering.
 
@@ -303,6 +359,7 @@ def run_benchmark(trials: int = 2, reps: int = 2) -> dict:
         specs, lambda sessions: [s.run() for s in sessions], reps
     )
     stages = _measure_stages(specs)
+    process_start = _measure_process_start()
     roc_sweep = _measure_roc_sweep(trials)
     lanes = _measure_lanes(specs)
 
@@ -324,6 +381,7 @@ def run_benchmark(trials: int = 2, reps: int = 2) -> dict:
         },
         "results": results,
         "stages": stages,
+        "process_start": process_start,
         "roc_sweep": roc_sweep,
         "lanes": lanes,
         "speedups": {
@@ -338,9 +396,11 @@ def run_benchmark(trials: int = 2, reps: int = 2) -> dict:
             "session at a time): prepare = "
             "RNG-bound negotiate/schedule/render_noise, render = arrival "
             "phase, detect = window scans, both one capture per lane; "
-            "roc_sweep rows measure the decide seam (repro.eval.sweep): a "
-            "16-threshold sweep decides every threshold off one render "
-            "set, vs re-rendering the scene matrix per threshold; lanes "
+            "process_start is the median over fresh interpreters of the "
+            "import seconds of repro.service.server and repro.eval.engine "
+            "and of VmHWM after one round; roc_sweep rows measure the "
+            "decide seam (repro.eval.sweep): a 16-threshold sweep decides "
+            "every threshold off one render set, vs re-rendering the scene matrix per threshold; lanes "
             "times one round at a time at 1 and 2 lanes, interleaved, "
             "after warming every CPU"
         ),
@@ -358,6 +418,7 @@ def test_pipeline_throughput(benchmark, quick):
     print("speedups:", document["speedups"])
     print("roc_sweep:", json.dumps(document["roc_sweep"], indent=2))
     print("lanes:", json.dumps(document["lanes"], indent=2))
+    print("process_start:", json.dumps(document["process_start"], indent=2))
     assert document["speedups"]["staged_vs_pre_refactor"] > 1.0
     roc = document["roc_sweep"]
     assert roc["zero_extra_renders_vs_t1"], (

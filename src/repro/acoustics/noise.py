@@ -10,19 +10,25 @@ candidate band.  Our model therefore has two parts:
   that is the only part reaching the candidate bins, and therefore the only
   part that perturbs detection accuracy.
 
+The shaping filter is a digital Butterworth low-pass in second-order
+sections, designed and run by :mod:`repro.dsp.iir` (a numpy port of
+scipy's design and scipy's compiled filter loop, byte for byte the
+``scipy.signal`` results) without importing ``scipy.signal``.
+
 Per-environment parameter presets live in
 :mod:`repro.acoustics.environment`.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.dsp.backend import get_backend
+from repro.dsp.iir import butter_lowpass_sos
 
 __all__ = ["NoiseModel", "NoiseDraw", "low_frequency_power_fraction"]
 
@@ -37,9 +43,7 @@ def _lowpass_sos(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray
     parameter triples.  The cached array is frozen so no caller can
     corrupt a shared design.
     """
-    sos = sp_signal.butter(
-        order, cutoff_hz, btype="low", fs=sample_rate, output="sos"
-    )
+    sos = butter_lowpass_sos(order, cutoff_hz, sample_rate)
     sos.setflags(write=False)
     return sos
 
@@ -58,7 +62,9 @@ class NoiseModel:
     broadband_std:
         Standard deviation of the white broadband floor.
     filter_order:
-        Butterworth order of the shaping filter.
+        Butterworth order of the shaping filter: an integer of at least 1
+        (a ``bool`` or a float such as 4.5 is rejected here, not at the
+        first render).
     """
 
     low_freq_std: float = 1000.0
@@ -71,7 +77,10 @@ class NoiseModel:
             raise ValueError("noise standard deviations must be non-negative")
         if self.low_freq_cutoff_hz <= 0:
             raise ValueError("low_freq_cutoff_hz must be positive")
-        if self.filter_order < 1:
+        order = self.filter_order
+        if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+            raise ValueError(f"filter_order must be an integer, got {order!r}")
+        if order < 1:
             raise ValueError("filter_order must be at least 1")
 
     def draw(

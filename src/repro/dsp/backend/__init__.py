@@ -2,8 +2,9 @@
 
 Every spectral hot path — the detector's ``rfft``/window-power passes,
 the mixer's arrival convolutions, the noise-shaping ``sosfilt`` — calls
-through the process-wide :class:`DSPBackend` instead of numpy/scipy
-directly.  See :mod:`repro.dsp.backend.base` for the kernel contract.
+through the process-wide :class:`DSPBackend` instead of numpy or
+:mod:`repro.dsp.iir` directly.  See :mod:`repro.dsp.backend.base` for
+the kernel contract.
 
 There is one set of kernels, :class:`NumpyBackend`, and every run uses
 it.  The seam stays so that a wrapper (a counting or tracing backend)

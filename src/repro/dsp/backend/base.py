@@ -4,15 +4,17 @@ Every spectral hot path of the reproduction — the detector's window-batch
 power evaluation (:meth:`repro.core.detection.FrequencyDetector
 .candidate_powers`), the acoustic mixer's channel convolutions, and the
 background-noise shaping filter — routes through one of the kernels
-below instead of calling numpy/scipy directly.
+below instead of calling numpy or :mod:`repro.dsp.iir` directly.
 
 The contract that keeps the pipeline's determinism guarantees intact:
 
 * :class:`~repro.dsp.backend.numpy_backend.NumpyBackend` is the one set
   of kernels: they perform exactly the arithmetic the pre-backend code
   performed (``np.fft.rfft``, the ``(2·|X|/N)²``-and-sum power formula,
-  per-row ``np.convolve``, ``scipy.signal.sosfilt``), so results are
-  byte-identical to the pre-backend implementation on every host.
+  per-row ``np.convolve``, and scipy's compiled ``sosfilt`` loop, run
+  by :func:`repro.dsp.iir.sosfilt` without importing ``scipy.signal``),
+  so results are byte-identical to the pre-backend implementation on
+  every host.
 * Kernel results are row-wise independent, so chunking
   (``fft_chunk_windows``: :data:`DEFAULT_FFT_CHUNK_WINDOWS` unless the
   constructor sets it) never changes an output bit — provided no chunk
@@ -32,6 +34,8 @@ still computes the same bits.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.dsp import iir
 
 __all__ = ["DSPBackend", "DEFAULT_FFT_CHUNK_WINDOWS"]
 
@@ -164,14 +168,8 @@ class DSPBackend:
     def sosfilt(self, sos: np.ndarray, signal: np.ndarray) -> np.ndarray:
         """Second-order-section IIR filtering along the last axis.
 
-        scipy's implementation is the kernel; it requires a writable
-        coefficient array, so frozen cached designs
-        (:func:`repro.acoustics.noise._lowpass_sos`) are copied here
-        rather than forcing every caller to.
+        scipy's compiled loop is the kernel (:func:`repro.dsp.iir.sosfilt`);
+        it gets its own writable copy of ``sos``, so frozen cached designs
+        (:func:`repro.acoustics.noise._lowpass_sos`) pass as they are.
         """
-        from scipy import signal as sp_signal
-
-        sos = np.asarray(sos)
-        if not sos.flags.writeable:
-            sos = sos.copy()
-        return sp_signal.sosfilt(sos, signal)
+        return iir.sosfilt(sos, signal)

@@ -17,7 +17,8 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(DSPBackend):
-    """Reference kernels: ``np.fft.rfft``, ``np.convolve``, ``sosfilt``."""
+    """Reference kernels: ``np.fft.rfft``, ``np.convolve``, and scipy's
+    compiled ``sosfilt`` loop (inherited from :class:`DSPBackend`)."""
 
     name = "numpy"
     bit_compatible = True

@@ -16,6 +16,11 @@ With the paper's σ_d values these formulas reproduce 19 of the 20 FRR
 cells of Table I and 17 of the 20 FAR cells of Table II to the printed
 decimal, and every cell within 0.15 points (DESIGN.md §6 lists the four
 others).
+
+The Gaussian tails come from ``scipy.special.ndtr``, the function behind
+scipy's standard normal distribution: its ``sf(x)`` is ``ndtr(-x)`` and
+its ``cdf(x)`` is ``ndtr(x)``, bit for bit, without loading scipy's
+statistics package.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = ["GaussianAuthModel", "THRESHOLDS_M", "PAPER_SIGMAS_M"]
 
@@ -126,20 +131,20 @@ class GaussianAuthModel:
         """
         if d > self.max_range_m:
             return 1.0
-        return float(norm.sf((threshold_m - d) / self.sigma_m))
+        return float(ndtr(-((threshold_m - d) / self.sigma_m)))
 
     def far_at_distance(self, d: float, threshold_m: float) -> float:
         """P(estimate ≤ τ) for an attacker with the user at distance ``d``."""
         if d >= self.max_range_m or d > self.bluetooth_range_m:
             return 0.0
-        return float(norm.cdf((threshold_m - d) / self.sigma_m))
+        return float(ndtr((threshold_m - d) / self.sigma_m))
 
     def frr(self, threshold_m: float) -> float:
         """Average FRR over legitimate distances d ∈ (0, τ].
 
         Midpoint-rule average (a right-endpoint grid would overweight the
         steep rise of P(est > τ) at d = τ and bias FRR upward).  The grid
-        integrand is vectorized: ``norm.sf`` is an elementwise ufunc and
+        integrand is vectorized: ``ndtr`` is an elementwise ufunc and
         ``np.mean`` sees the same float64 values, so this is bit-identical
         to the per-distance scalar loop it replaced.
         """
@@ -149,7 +154,7 @@ class GaussianAuthModel:
         values = np.where(
             grid > self.max_range_m,
             1.0,
-            norm.sf((threshold_m - grid) / self.sigma_m),
+            ndtr(-((threshold_m - grid) / self.sigma_m)),
         )
         return float(np.mean(values))
 
@@ -161,7 +166,7 @@ class GaussianAuthModel:
         values = np.where(
             (grid >= self.max_range_m) | (grid > self.bluetooth_range_m),
             0.0,
-            norm.cdf((threshold_m - grid) / self.sigma_m),
+            ndtr((threshold_m - grid) / self.sigma_m),
         )
         return float(np.mean(values))
 

@@ -102,6 +102,10 @@ def test_noise_scaled():
 def test_noise_validation():
     with pytest.raises(ValueError):
         NoiseModel(low_freq_std=-1.0)
+    # The order is checked at construction, not at the first render.
+    for order in (0, 4.5, True):
+        with pytest.raises(ValueError):
+            NoiseModel(filter_order=order)
     model = NoiseModel(low_freq_cutoff_hz=30_000.0)
     with pytest.raises(ValueError):
         model.sample(100, FS, np.random.default_rng(0))

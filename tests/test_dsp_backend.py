@@ -5,14 +5,22 @@ The contract under test:
 * the numpy kernels are **bit-compatible** with the inline expressions
   the hot paths used before the backend seam existed (FFT, window
   powers, convolution, sosfilt) — on contiguous *and* strided inputs;
+* ``repro.dsp.iir``, which stands in for ``scipy.signal`` so no DSP
+  process imports it, returns ``scipy.signal``'s bytes: its Butterworth
+  design port over a grid of orders, rates and cutoffs, and its filter
+  loop on every input shape the noise bed can hand it;
 * every run uses them: nothing in the environment selects another
   backend, and an installed wrapper is restored afterwards.
 """
+
+import sys
+import types
 
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from repro.dsp import iir
 from repro.dsp.backend import (
     DEFAULT_FFT_CHUNK_WINDOWS,
     NumpyBackend,
@@ -20,6 +28,13 @@ from repro.dsp.backend import (
     set_backend,
     use_backend,
 )
+
+#: Sample rates of the design grid: the corpus mini profile's 4 kHz, the
+#: presets' 44.1 kHz, and the common audio rates around them.
+DESIGN_RATES = (4_000.0, 8_000.0, 16_000.0, 22_050.0, 44_100.0, 48_000.0, 96_000.0)
+#: Cutoffs every rate is designed at besides its spread: the mini
+#: profile's and every preset's.
+PROFILE_CUTOFFS = (800.0, 2_000.0, 3_000.0, 3_500.0, 4_000.0, 4_500.0)
 
 
 @pytest.fixture()
@@ -158,3 +173,62 @@ def test_sosfilt_stacked_rows_equal_solo_rows(rng):
     batched = NumpyBackend().sosfilt(sos, stack)
     for row in range(4):
         assert np.array_equal(batched[row], sp_signal.sosfilt(sos, stack[row]))
+
+
+# ----------------------------------------------------------------------
+# repro.dsp.iir: the same bytes as scipy.signal
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_butter_lowpass_sos_matches_scipy_bytes(order):
+    mismatches = []
+    for fs in DESIGN_RATES:
+        spread = np.linspace(20.0, fs / 2 - 20.0, 40)
+        cutoffs = [*spread, *(c for c in PROFILE_CUTOFFS if c < fs / 2)]
+        for cutoff in cutoffs:
+            expected = sp_signal.butter(
+                order, cutoff, btype="low", fs=fs, output="sos"
+            )
+            if iir.butter_lowpass_sos(order, cutoff, fs).tobytes() != (
+                expected.tobytes()
+            ):
+                mismatches.append((fs, float(cutoff)))
+    assert mismatches == []
+
+
+def test_butter_lowpass_sos_rejects_bad_orders_and_cutoffs():
+    with pytest.raises(ValueError):
+        iir.butter_lowpass_sos(4, 2_000.0, 4_000.0)  # at Nyquist
+    with pytest.raises(ValueError):
+        iir.butter_lowpass_sos(0, 800.0, 4_000.0)
+    with pytest.raises(TypeError):
+        iir.butter_lowpass_sos(4.5, 800.0, 4_000.0)
+
+
+@pytest.mark.parametrize("shape", ["1-D", "stack", "strided", "frozen"])
+def test_iir_sosfilt_matches_scipy_bytes(rng, shape):
+    sos = sp_signal.butter(4, 3000.0, btype="low", fs=44_100.0, output="sos")
+    design = sos
+    x = rng.normal(size=2_000)
+    if shape == "stack":
+        x = rng.normal(size=(4, 2_000))
+    elif shape == "strided":
+        x = rng.normal(size=4_000)[::2]
+    elif shape == "frozen":
+        design = sos.copy()
+        design.setflags(write=False)
+    out = iir.sosfilt(design, x)
+    assert out.shape == x.shape
+    assert out.tobytes() == sp_signal.sosfilt(sos, x).tobytes()
+
+
+def test_missing_kernel_raises_naming_the_scipy_version(monkeypatch, tmp_path):
+    """No fallback path: a scipy without the compiled file fails loudly."""
+    fake = types.ModuleType("scipy")
+    fake.__file__ = str(tmp_path / "__init__.py")
+    fake.__version__ = "9.9.9"
+    monkeypatch.delitem(sys.modules, "scipy.signal._sosfilt")
+    monkeypatch.setitem(sys.modules, "scipy", fake)
+    with pytest.raises(ImportError, match="scipy 9.9.9"):
+        iir._load_kernel()

@@ -4,8 +4,11 @@ The shard router, the service client and the CLI's parser never touch
 the simulator, so importing them must load neither numpy nor scipy
 (``import repro.cli`` used to cost ~1.2 s and ~110 MiB in every router
 and client process).  The packages that make this possible export
-lazily (PEP 562); these checks run in fresh interpreters, because the
-test process itself has long since imported everything.
+lazily (PEP 562).  A process that does run rounds loads numpy and
+scipy's compiled ``sosfilt`` kernel, but not ``scipy.signal``, whose
+import used to cost ~0.8 s of every DSP process's start.  These checks
+run in fresh interpreters, because the test process itself has long
+since imported everything.
 """
 
 from __future__ import annotations
@@ -169,3 +172,37 @@ def test_router_serves_without_numpy_and_calibrates_like_one_process():
     reply = json.loads(expected)
     assert (reply["shard"], reply["shards"]) == (0, 1)
     assert (reply["samples"], reply["source"]) == (8, "measured")
+
+
+def test_dsp_process_loads_no_scipy_signal_stats_or_special():
+    """Rendering, detecting and deciding a round loads scipy's compiled
+    ``sosfilt`` kernel alone (``repro.dsp.iir``), never the
+    ``scipy.signal`` package; the §VI-C model adds ``scipy.special``
+    when it first runs, and never ``scipy.stats``."""
+    report = json.loads(
+        run_fresh(
+            "import json, sys\n"
+            "import repro.service.server, repro.eval.engine\n"
+            "from repro.eval.engine import TrialSpec, build_trial_session\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "        if m.split('.')[0] == 'scipy')\n"
+            "build_trial_session(TrialSpec('office', 1.0, 1, 0), 0).run()\n"
+            "after_round = scipy_modules()\n"
+            "from repro.eval.frr_far import GaussianAuthModel\n"
+            "GaussianAuthModel(sigma_m=0.07).frr(1.0)\n"
+            "print(json.dumps({'round': after_round,\n"
+            "                  'model': scipy_modules()}))\n"
+        )
+    )
+
+    def packages(modules):
+        return {".".join(m.split(".")[:2]) for m in modules}
+
+    after_round = report["round"]
+    assert [m for m in after_round if m.startswith("scipy.signal")] == [
+        "scipy.signal._sosfilt"
+    ]
+    assert not {"scipy.stats", "scipy.special"} & packages(after_round)
+    assert "scipy.stats" not in packages(report["model"])
+    assert "scipy.signal" not in report["model"]
