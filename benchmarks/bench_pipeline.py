@@ -7,8 +7,8 @@ environments × four distances) for
   original detector hot path (two-sided FFT over a full sliding-window
   view, all bins materialized), i.e. the engine as it existed before the
   staged-pipeline refactor;
-* ``staged_per_session`` — ``RangingSession.run()`` chaining the pipeline
-  stages serially, one session at a time, as the trial engine runs them.
+* ``staged_per_session`` — ``RangingSession.run()`` (the stage runner at
+  B = 1), one session at a time, as the trial engine runs them.
 
 Both variants run with this process's DSP lanes
 (``repro.dsp.lanes``: one per CPU).  The document additionally records a
@@ -139,7 +139,7 @@ def _measure(specs, executor, reps: int) -> dict:
 
 
 def _pre_refactor_executor(sessions):
-    return [run_monolithic(s.context, s.rng, s.artifacts) for s in sessions]
+    return [run_monolithic(s.context, s.rng) for s in sessions]
 
 
 def _measure_stages(specs) -> dict:

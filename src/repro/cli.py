@@ -81,6 +81,28 @@ _positive_float = _at_least(float, 0, inclusive=False)
 _non_negative_float = _at_least(float, 0)
 
 
+def _pairing_distance(text: str) -> float:
+    """An argparse type: a device separation in (0, pairing range] meters.
+
+    The bound is :data:`repro.comms.bluetooth.DEFAULT_BLUETOOTH_RANGE_M`,
+    the one the service's request validation uses.
+    """
+    # Imported on use: the Bluetooth module loads numpy, and building
+    # the parser must not.
+    from repro.comms.bluetooth import DEFAULT_BLUETOOTH_RANGE_M
+
+    value = float(text)
+    if not 0 < value <= DEFAULT_BLUETOOTH_RANGE_M:
+        raise argparse.ArgumentTypeError(
+            f"must be in (0, {DEFAULT_BLUETOOTH_RANGE_M:g}] (the Bluetooth "
+            f"pairing range), got {text}"
+        )
+    return value
+
+
+_pairing_distance.__name__ = "float"
+
+
 def port(text: str) -> int:
     """An argparse type: a TCP port, 0 (any free port) to 65535."""
     value = int(text)
@@ -218,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     capture_parser.add_argument(
         "--distances",
-        type=float,
+        type=_pairing_distance,
         nargs="+",
         default=None,
         metavar="M",

@@ -2,8 +2,8 @@
 
 :func:`record_cell_spec` is :func:`~repro.eval.engine.run_cell_spec` with
 capture hooks: it runs the trials one session at a time through the
-exact stage calls of :func:`~repro.sim.pipeline.run_staged` —
-``negotiate`` / ``schedule`` / ``render_noise``, ``render_arrivals`` and
+stage calls :class:`~repro.sim.pipeline.BatchedSessionRunner` makes —
+:func:`~repro.sim.pipeline.prepare`, ``render_arrivals`` and
 ``detect_batch`` over the session's two captures, ``exchange`` — so the
 :class:`~repro.eval.engine.CellResult` it returns is bit-identical to a
 live run, and what it writes to the corpus is the ground truth replay is
@@ -16,7 +16,7 @@ re-enter the pipeline *after* the render stage:
   deterministically from indices via
   :func:`~repro.core.signal_construction.signal_from_indices`) and the
   Bluetooth init latency;
-* the session RNG state snapshotted right after ``render_noise`` — the
+* the session RNG state snapshotted right after ``prepare`` — the
   stream position the ``exchange`` stage's report-transfer draw resumes
   from, which is what makes a replayed decision bit-identical;
 * both rendered capture buffers (int16-packed, see
@@ -46,16 +46,11 @@ import repro
 from repro.acoustics.environment import Environment, ReverbProfile
 from repro.acoustics.noise import NoiseModel
 from repro.core.config import ProtocolConfig
+from repro.core.ranging import RangingOutcome
 from repro.dsp.backend import get_backend
 from repro.eval.engine import CellResult, TrialSpec, build_trial_session
 from repro.sim.pipeline.batch import detect_batch
-from repro.sim.pipeline.stages import (
-    exchange,
-    negotiate,
-    render_arrivals,
-    render_noise,
-    schedule,
-)
+from repro.sim.pipeline.stages import exchange, prepare, render_arrivals
 
 from repro.corpus.codec import (
     encode_recording,
@@ -180,8 +175,8 @@ def record_cell_spec(spec: TrialSpec, corpus: CaptureCorpus) -> CellResult:
     """Execute one cell live, persist its captures, return its result.
 
     One trial at a time, through the stage calls of
-    :func:`~repro.sim.pipeline.run_staged`, so the returned cell is
-    bit-identical to :func:`~repro.eval.engine.run_cell_spec`.
+    :class:`~repro.sim.pipeline.BatchedSessionRunner`, so the returned
+    cell is bit-identical to :func:`~repro.eval.engine.run_cell_spec`.
     """
     cell = CellResult(environment=spec.env_name, distance_m=spec.distance_m)
     trial_meta: list[dict] = []
@@ -190,24 +185,24 @@ def record_cell_spec(spec: TrialSpec, corpus: CaptureCorpus) -> CellResult:
     for trial in range(spec.n_trials):
         session = build_trial_session(spec, trial)
         ctx, rng = session.context, session.rng
-        negotiation = negotiate(ctx, rng)
-        if negotiation.failure is not None:
-            cell.add(negotiation.failure)
+        prepared = prepare(ctx, rng)
+        if isinstance(prepared, RangingOutcome):
+            cell.add(prepared)
             trial_meta.append(
                 {
                     "trial": trial,
                     "failed_stage": "negotiate",
-                    "outcome": outcome_to_json(negotiation.failure),
+                    "outcome": outcome_to_json(prepared),
                 }
             )
             continue
-        planned = render_noise(ctx, schedule(ctx, negotiation, rng), rng)
         # Snapshot the stream position the exchange stage resumes from;
         # deep-copied because the generator mutates in place.
         rng_state = copy.deepcopy(rng.bit_generator.state)
-        (recordings,) = render_arrivals([planned])
+        negotiation = prepared.negotiation
+        (recordings,) = render_arrivals([prepared.planned])
         (pair,) = detect_batch([(ctx, negotiation, recordings)])
-        outcome = exchange(ctx, negotiation, pair, rng, session.artifacts)
+        outcome = exchange(ctx, negotiation, pair, rng)
         cell.add(outcome)
         signals = negotiation.signals
         arrays[f"t{trial}_auth"] = encode_recording(recordings.auth)

@@ -11,14 +11,15 @@ trial it:
    subsets (:func:`~repro.core.signal_construction.signal_from_indices`
    is deterministic, so the rebuilt reference signals are bit-identical)
    and the stored init latency;
-3. loads both capture buffers from the payload — ``negotiate`` /
-   ``schedule`` / ``render_noise`` / ``render_arrivals`` never run, which
-   keeps :func:`repro.sim.pipeline.render_call_counts` untouched;
+3. loads both capture buffers from the payload —
+   :func:`~repro.sim.pipeline.prepare` and ``render_arrivals`` never
+   run, which keeps :func:`repro.sim.pipeline.render_call_counts`
+   untouched;
 4. runs the shared detection seam
    (:func:`repro.sim.pipeline.detect_batch` — the very code live rounds
-   use) and, after restoring the session RNG to the stored post-render
-   stream position, the terminal ``exchange`` stage, which returns the
-   trial's :class:`~repro.core.ranging.RangingOutcome`.
+   use) and, after restoring the session RNG to the stored
+   post-``prepare`` stream position, the terminal ``exchange`` stage,
+   which returns the trial's :class:`~repro.core.ranging.RangingOutcome`.
 
 In **strict** mode (the default) every replayed decision is compared
 byte-for-byte against the recorded one via
@@ -215,12 +216,10 @@ class ReplayingSessionRunner:
             )
             (pair,) = detect_batch([(ctx, negotiation, recordings)])
             # Resume the session stream exactly where the live run's
-            # render stage left it, so the exchange stage's
-            # report-transfer draw matches bit for bit.
+            # prepare left it, so the exchange stage's report-transfer
+            # draw matches bit for bit.
             session.rng.bit_generator.state = meta["rng_state"]
-            outcome = exchange(
-                ctx, negotiation, pair, session.rng, session.artifacts
-            )
+            outcome = exchange(ctx, negotiation, pair, session.rng)
             report.cell.add(outcome)
             report.replayed_trials += 1
             replayed = canonical_outcome_json(outcome_to_json(outcome))

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.comms.bluetooth import DEFAULT_BLUETOOTH_RANGE_M
 from repro.eval.engine import TrialPlan, TrialSpec
 from repro.eval.trials import ConcurrentUsersInterference
 from repro.scenarios.document import ScenarioDoc, ScenarioError
@@ -75,6 +76,12 @@ class _PairFrame:
             raise ScenarioError(
                 f"verifier and prover coincide at ({vx}, {vy}); "
                 "ranging needs a positive distance"
+            )
+        if d > DEFAULT_BLUETOOTH_RANGE_M:
+            raise ScenarioError(
+                f"prover at ({px}, {py}) is {d:g} m from its verifier, "
+                f"beyond the {DEFAULT_BLUETOOTH_RANGE_M:g} m Bluetooth "
+                "pairing range"
             )
         return _PairFrame(
             origin_x=vx,

@@ -1,12 +1,15 @@
 """Coalescing DSP scheduler: concurrent rounds share one DSP pass.
 
 The request path of the service (``repro.service.server``) runs the
-RNG-bound stages — ``negotiate``, ``schedule``, ``render_noise`` — inline
-on the event loop, then hands the round's pure-data remainder to a
-:class:`BatchingScheduler`.  The scheduler's collector task gathers every
-round pending at that moment (up to :data:`MAX_ROUNDS_PER_PASS`,
-lingering at most :data:`MAX_LINGER_S` while announced rounds are still
-on their way) and executes the deterministic half of the pipeline —
+round's RNG-bound prefix — :func:`~repro.sim.pipeline.prepare` —
+inline on the event loop, then queues the resulting
+:class:`~repro.sim.pipeline.PreparedRound` on a
+:class:`BatchingScheduler`, which resolves it with the round's
+:class:`~repro.sim.pipeline.DetectionPair` alone.  The scheduler's
+collector task gathers every round pending at that moment (up to
+:data:`MAX_ROUNDS_PER_PASS`, lingering at most :data:`MAX_LINGER_S`
+while announced rounds are still on their way) and executes the
+deterministic half of the pipeline —
 :func:`~repro.sim.pipeline.render_arrivals` plus
 :func:`~repro.sim.pipeline.detect_batch` — as **one** pass on the
 scheduler's DSP thread, which spreads the pass's captures over the
@@ -17,8 +20,8 @@ rounds meanwhile.
 Determinism: batch composition is a scheduling decision, never a
 numerical one (invariant 2 of :mod:`repro.sim.pipeline`), so *which*
 requests happen to share a pass cannot change any round's bits.
-The RNG-bound stages and ``exchange`` never enter the scheduler — each
-stays on its own session's stream, in order.
+``prepare`` and ``exchange`` never enter the scheduler — each stays on
+its own session's stream, in order.
 
 Backpressure: the queue itself is unbounded.  The server submits a
 round only while the round holds one of its ``max_inflight_rounds``
@@ -50,10 +53,7 @@ from typing import Sequence
 from repro.service.faults import FaultInjector
 from repro.sim.pipeline import (
     DetectionPair,
-    NegotiationResult,
-    PlannedRender,
-    RenderedRecordings,
-    SessionContext,
+    PreparedRound,
     detect_batch,
     render_arrivals,
 )
@@ -148,34 +148,28 @@ class SchedulerStats:
 class _PendingRound:
     """One prepared round awaiting its DSP pass."""
 
-    context: SessionContext
-    negotiation: NegotiationResult
-    planned: PlannedRender
-    future: "asyncio.Future[tuple[RenderedRecordings, DetectionPair]]" = field(
-        repr=False, default=None  # type: ignore[assignment]
-    )
+    prepared: PreparedRound
+    future: "asyncio.Future[DetectionPair]" = field(repr=False)
     #: Loop time after which the round must not be admitted to a batch
     #: (``None`` = no deadline).
     expires_at: float | None = None
 
 
-def _execute_rounds(
-    batch: Sequence[_PendingRound],
-) -> list[tuple[RenderedRecordings, DetectionPair]]:
+def _execute_rounds(batch: Sequence[_PendingRound]) -> list[DetectionPair]:
     """The deterministic DSP of a batch, from the executor thread.
 
     Renders and observes all 2·B captures on the process's DSP lanes —
     the same calls :class:`~repro.sim.pipeline.BatchedSessionRunner`
     makes for trial batches.
     """
-    recordings = render_arrivals([item.planned for item in batch])
-    detections = detect_batch(
+    rounds = [item.prepared for item in batch]
+    recordings = render_arrivals([prepared.planned for prepared in rounds])
+    return detect_batch(
         [
-            (item.context, item.negotiation, rendered)
-            for item, rendered in zip(batch, recordings)
+            (prepared.context, prepared.negotiation, rendered)
+            for prepared, rendered in zip(rounds, recordings)
         ]
     )
-    return list(zip(recordings, detections))
 
 
 class BatchingScheduler:
@@ -305,13 +299,11 @@ class BatchingScheduler:
 
     async def run_round(
         self,
-        context: SessionContext,
-        negotiation: NegotiationResult,
-        planned: PlannedRender,
+        prepared: PreparedRound,
         announced: bool = False,
         expires_at: float | None = None,
-    ) -> tuple[RenderedRecordings, DetectionPair]:
-        """Queue one prepared round; resolves with its recordings+detections.
+    ) -> DetectionPair:
+        """Queue one prepared round; resolves with its detections.
 
         ``announced=True`` consumes one prior :meth:`announce` slot.
         ``expires_at`` (a loop time) makes the round raise
@@ -323,11 +315,7 @@ class BatchingScheduler:
         if announced:
             self.retract(1)
         future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait(
-            _PendingRound(
-                context, negotiation, planned, future, expires_at=expires_at
-            )
-        )
+        self._queue.put_nowait(_PendingRound(prepared, future, expires_at))
         self.stats.queue_high_water = max(
             self.stats.queue_high_water, self._queue.qsize()
         )
@@ -377,7 +365,7 @@ class BatchingScheduler:
 
     def _submit_batch(
         self, batch: list[_PendingRound]
-    ) -> "asyncio.Future[list[tuple[RenderedRecordings, DetectionPair]]]":
+    ) -> "asyncio.Future[list[DetectionPair]]":
         """Hand one batch to the DSP thread."""
         return asyncio.get_running_loop().run_in_executor(
             self._executor, _execute_rounds, batch

@@ -5,15 +5,17 @@ Request lifecycle (see ``docs/service.md`` for the full narrative):
 1. a :class:`~repro.service.protocol.RangingRequest` arrives (over the
    newline-delimited-JSON TCP listener, or directly through
    :meth:`AuthService.handle_request` for in-process callers);
-2. per round, the RNG-bound stages run on the request path —
+2. per round, the RNG-bound prefix runs on the request path —
    :func:`~repro.eval.engine.build_trial_session` (the *same*
-   construction the CLI engine uses), then ``negotiate`` → ``schedule``
-   → ``render_noise`` on the session's own RNG stream;
-3. the round's deterministic DSP is submitted to the
+   construction the CLI engine uses), then
+   :func:`~repro.sim.pipeline.prepare` on the session's own RNG stream
+   (a failed Bluetooth negotiation ends the round there);
+3. the :class:`~repro.sim.pipeline.PreparedRound` is queued on the
    :class:`~repro.service.scheduler.BatchingScheduler`, which coalesces
    it with whatever other requests are in flight into one
    ``render_arrivals`` + ``detect_batch`` pass on the DSP thread, each
-   capture on a DSP lane;
+   capture on a DSP lane, and resolves it with its
+   :class:`~repro.sim.pipeline.DetectionPair`;
 4. ``exchange`` runs back on the request path and returns the round's
    :class:`~repro.core.ranging.RangingOutcome`; :func:`round_decision`
    decides it against the request's τ, and the round's
@@ -55,6 +57,7 @@ import asyncio
 from typing import AsyncIterator
 
 from repro.acoustics.environment import get_environment
+from repro.comms.bluetooth import DEFAULT_BLUETOOTH_RANGE_M
 from repro.core.decisions import (
     DENY_REASONS,
     DenyReason,
@@ -63,7 +66,7 @@ from repro.core.decisions import (
 )
 from repro.core.ranging import RangingOutcome, RangingStatus
 from repro.eval.engine import TrialSpec, build_trial_session
-from repro.sim.pipeline import exchange, negotiate, render_noise, schedule
+from repro.sim.pipeline import exchange, prepare
 from repro.service.calibration import CalibrationStore
 from repro.service.protocol import (
     CalibrateRequest,
@@ -209,8 +212,11 @@ def _validate(request: RangingRequest) -> str | None:
         )
     if request.first_trial < 0:
         return f"first_trial must be >= 0, got {request.first_trial}"
-    if not request.distance_m > 0:
-        return f"distance_m must be positive, got {request.distance_m}"
+    if not 0 < request.distance_m <= DEFAULT_BLUETOOTH_RANGE_M:
+        return (
+            f"distance_m must be in (0, {DEFAULT_BLUETOOTH_RANGE_M:g}] "
+            f"(the Bluetooth pairing range), got {request.distance_m}"
+        )
     if not request.threshold_m > 0:
         return f"threshold_m must be positive, got {request.threshold_m}"
     try:
@@ -464,12 +470,12 @@ class AuthService:
         trial: int,
         expires_at: float | None = None,
     ) -> RangingOutcome:
-        """One ranging round: RNG stages inline, DSP via the scheduler.
+        """One ranging round: ``prepare`` inline, DSP via the scheduler.
 
         Consumes exactly one announced-round slot, whichever way it
         exits (Bluetooth failure, a stopped scheduler, deadline expiry,
-        cancellation).  ``expires_at`` is checked before the RNG stages
-        start and again at batch admission — never mid-computation.
+        cancellation).  ``expires_at`` is checked before ``prepare``
+        starts and again at batch admission — never mid-computation.
         """
         submitted = False
         try:
@@ -483,21 +489,18 @@ class AuthService:
                         "deadline expired before round start"
                     )
                 session = build_trial_session(spec, trial)
-                ctx, rng = session.context, session.rng
-                negotiation = negotiate(ctx, rng)
-                if negotiation.failure is not None:
-                    return negotiation.failure
-                plan = schedule(ctx, negotiation, rng)
-                planned = render_noise(ctx, plan, rng)
+                prepared = prepare(session.context, session.rng)
+                if isinstance(prepared, RangingOutcome):
+                    return prepared
                 submitted = True
-                recordings, detections = await self.scheduler.run_round(
-                    ctx, negotiation, planned, announced=True,
-                    expires_at=expires_at,
+                detections = await self.scheduler.run_round(
+                    prepared, announced=True, expires_at=expires_at
                 )
-                session.artifacts.recording_auth = recordings.auth
-                session.artifacts.recording_vouch = recordings.vouch
                 return exchange(
-                    ctx, negotiation, detections, rng, session.artifacts
+                    session.context,
+                    prepared.negotiation,
+                    detections,
+                    session.rng,
                 )
         finally:
             if not submitted:

@@ -2,17 +2,20 @@
 
 Three modules (see ``docs/pipeline.md`` and ``docs/architecture.md``):
 
-* **stages** — the five typed, pure stages of one ACTION round
-  (``negotiate`` → ``schedule`` → ``render`` → ``detect`` →
-  ``exchange``, which returns the round's
-  :class:`~repro.core.ranging.RangingOutcome`) plus :func:`run_staged`,
-  the serial chain that :class:`repro.sim.session.RangingSession` wraps.
-  No stage applies τ: :mod:`repro.core.decisions` decides an outcome;
+* **stages** — the typed, pure stages of one ACTION round
+  (``negotiate`` → ``schedule`` → ``render_noise`` →
+  ``render_arrivals`` → ``detect`` → ``exchange``, which returns the
+  round's :class:`~repro.core.ranging.RangingOutcome`) and
+  :func:`prepare`, the round's RNG-bound prefix that every round starts
+  with.  No stage applies τ: :mod:`repro.core.decisions` decides an
+  outcome;
 * **batch** — :func:`detect_batch`, the detection seam that observes
   each recording on its own DSP lane (``render_arrivals`` is its render
-  counterpart; the streaming service's scheduler shares both), and
-  :class:`BatchedSessionRunner`, which runs sessions stage by stage with
-  per-stage wall-clock accounting for the profiler and the benchmarks;
+  counterpart; the streaming service's scheduler and the capture corpus
+  share both), and :class:`BatchedSessionRunner`, the one in-process
+  round runner: it runs sessions stage by stage with optional per-stage
+  wall-clock accounting, and
+  :meth:`repro.sim.session.RangingSession.run` is it at B = 1;
 * **reference** — the pre-refactor monolithic loop, kept as the
   executable specification the equivalence tests and benchmarks compare
   against.
@@ -25,13 +28,12 @@ Invariants every caller may rely on (and every change must preserve):
    channel draws → report transfer).  Stages that span sessions
    (``render_arrivals``, ``detect_batch``) consume **no** RNG at all.
 2. **Bitwise batch invariance** — for a fixed per-session RNG stream,
-   serial staged execution, :func:`run_monolithic`, and
-   :class:`BatchedSessionRunner` at *any* batch size (or any grouping of
-   sessions into batches) produce bit-identical
-   :class:`~repro.core.ranging.RangingOutcome`\\ s.  Batch composition is
-   a scheduling decision, never a numerical one — this is what lets
-   ``repro.service`` coalesce unrelated concurrent requests into one DSP
-   pass.  The same holds for the number of DSP lanes
+   :func:`run_monolithic` and :class:`BatchedSessionRunner` at *any*
+   batch size (or any grouping of sessions into batches) produce
+   bit-identical :class:`~repro.core.ranging.RangingOutcome`\\ s.
+   Batch composition is a scheduling decision, never a numerical one —
+   this is what lets ``repro.service`` coalesce unrelated concurrent
+   requests into one DSP pass.  The same holds for the number of DSP lanes
    (:mod:`repro.dsp.lanes`) a process runs captures on.
 3. **Pure data boundaries** — everything crossing a stage boundary is a
    frozen dataclass (plus numpy arrays treated as immutable), so stages
@@ -46,21 +48,20 @@ from repro.sim.pipeline.stages import (
     InterferenceProvider,
     NegotiationResult,
     PlannedRender,
+    PreparedRound,
     RenderedRecordings,
     SchedulePlan,
-    SessionArtifacts,
     SessionContext,
     SessionTiming,
     detect,
     exchange,
     negotiate,
+    prepare,
     radiated_reference_waveform,
-    render,
     render_arrivals,
     render_call_counts,
     render_noise,
     reset_render_call_counts,
-    run_staged,
     schedule,
     session_cost,
 )
@@ -71,23 +72,22 @@ __all__ = [
     "InterferenceProvider",
     "NegotiationResult",
     "PlannedRender",
+    "PreparedRound",
     "RenderedRecordings",
     "SchedulePlan",
-    "SessionArtifacts",
     "SessionContext",
     "SessionTiming",
     "detect",
     "detect_batch",
     "exchange",
     "negotiate",
+    "prepare",
     "radiated_reference_waveform",
-    "render",
     "render_arrivals",
     "render_call_counts",
     "render_noise",
     "reset_render_call_counts",
     "run_monolithic",
-    "run_staged",
     "schedule",
     "session_cost",
 ]

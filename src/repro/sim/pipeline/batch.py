@@ -1,18 +1,22 @@
-"""The shared detection seam and the stage-timed session runner.
+"""The shared detection seam and the one in-process round runner.
 
 :func:`detect_batch` is Step IV for any number of independent sessions,
-one recording per DSP lane: ``run_staged`` (one session), corpus
-record/replay and the streaming service's coalesced passes all route
-through it.
+one recording per DSP lane: the runner, corpus record/replay and the
+streaming service's coalesced passes all route through it.
 
 :class:`BatchedSessionRunner` runs independent sessions stage by stage,
-B at a time, and can account each stage's wall clock:
+B at a time, and can account each stage's wall clock.
+:meth:`repro.sim.session.RangingSession.run` is this runner at B = 1,
+so every in-process round — engine trials, examples, the profiler and
+the benchmarks — takes this path:
 
-1. ``negotiate`` + ``schedule`` + ``render_noise`` execute per session,
-   each on its own RNG stream — these stages *are* the stream consumers,
-   so their per-trial draw order is untouched (see ``docs/pipeline.md``);
+1. :func:`~repro.sim.pipeline.stages.prepare` (``negotiate`` +
+   ``schedule`` + ``render_noise``) executes per session, each on its
+   own RNG stream — these stages *are* the stream consumers, so their
+   per-trial draw order is untouched (see ``docs/pipeline.md``);
 2. the render stage's deterministic half renders all 2·B captures,
-   one capture job per DSP lane (``render_arrivals``);
+   one capture job per DSP lane (``render_arrivals``); the noise beds
+   are dropped as soon as their captures exist;
 3. ``detect`` observes all 2·B recordings, one recording per DSP lane
    (:func:`detect_batch`); each observation computes its coarse pass
    once and then the own and remote fine scans;
@@ -20,38 +24,30 @@ B at a time, and can account each stage's wall clock:
    returns the round's :class:`~repro.core.ranging.RangingOutcome`.
 
 Detection is a pure function of the recordings and a recording's scans
-read nothing else, so the runner's outcomes are bit-identical to the
-serial staged path at every B — the equivalence tests assert this
-against :func:`repro.sim.pipeline.reference.run_monolithic` as well.
-The batch size changes no kernel call, so the trial engine runs one
-session at a time; the runner is the stage-timed drive of the profiler
-and the benchmarks.
+read nothing else, so the runner's outcomes are bit-identical at every
+B — the equivalence tests assert this against
+:func:`repro.sim.pipeline.reference.run_monolithic` as well.  The batch
+size changes no kernel call, so the trial engine runs one session at a
+time; larger batches serve the benchmark's stage drive.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.ranging import DeviceObservation, RangingOutcome
 from repro.dsp.lanes import map_lanes
 from repro.sim.pipeline.stages import (
     DetectionPair,
     NegotiationResult,
-    PlannedRender,
+    PreparedRound,
     RenderedRecordings,
-    SessionArtifacts,
     SessionContext,
     exchange,
-    negotiate,
-    record_schedule_artifacts,
+    prepare,
     render_arrivals,
-    render_noise,
-    schedule,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,10 +78,10 @@ def detect_batch(
     bit-identical to running ``detect`` per entry: detection is a pure
     function of each recording.
 
-    This is the shared detection seam: ``run_staged`` (B = 1),
-    :class:`BatchedSessionRunner`, corpus record/replay, and the
-    streaming service's :class:`repro.service.BatchingScheduler`
-    (coalesced concurrent requests) all route through it.
+    This is the shared detection seam: :class:`BatchedSessionRunner`,
+    corpus record/replay, and the streaming service's
+    :class:`repro.service.BatchingScheduler` (coalesced concurrent
+    requests) all route through it.
     """
     scans = []
     for ctx, negotiation, recordings in entries:
@@ -115,35 +111,15 @@ def detect_batch(
     ]
 
 
-class SessionLike(Protocol):
-    """What the runner needs from a session (satisfied by RangingSession)."""
-
-    context: SessionContext
-    rng: np.random.Generator
-    artifacts: SessionArtifacts
-
-
-@dataclass
-class _PreparedSession:
-    """One session that survived negotiate/schedule/render_noise.
-
-    ``recordings`` is filled in by the arrival phase.
-    """
-
-    index: int
-    session: SessionLike
-    negotiation: NegotiationResult
-    recordings: RenderedRecordings | None = None
-
-
 class BatchedSessionRunner:
     """Runs independent sessions through the pipeline, stage by stage.
 
     Parameters
     ----------
     batch_size:
-        Sessions per batch.  ``1`` is the serial staged path; outcomes
-        are identical for every value.
+        Sessions per batch.  ``1`` is :meth:`RangingSession.run
+        <repro.sim.session.RangingSession.run>`; outcomes are identical
+        for every value.
     stage_timings:
         Optional wall-clock accounting (see below).
     """
@@ -158,9 +134,10 @@ class BatchedSessionRunner:
         self.batch_size = batch_size
         #: Optional wall-clock accounting: when a dict is supplied, each
         #: batch accumulates per-stage seconds into it under the keys
-        #: ``prepare`` (negotiate+schedule+render_noise, the RNG-bound
-        #: phase), ``render`` (the arrival phase on the DSP lanes),
-        #: ``detect``, and ``decide``.  Used by
+        #: ``prepare`` (:func:`~repro.sim.pipeline.stages.prepare`, the
+        #: RNG-bound phase), ``render`` (the arrival phase on the DSP
+        #: lanes), ``detect``, and ``decide``, one assignment each per
+        #: batch, in that order.  Used by
         #: ``benchmarks/bench_pipeline.py``,
         #: ``tools/profile_pipeline.py`` and the benchmark's stage drive;
         #: zero overhead when None.
@@ -174,9 +151,7 @@ class BatchedSessionRunner:
             )
         return now
 
-    def run(
-        self, sessions: Iterable["RangingSession"] | Iterable[SessionLike]
-    ) -> list[RangingOutcome]:
+    def run(self, sessions: Iterable["RangingSession"]) -> list[RangingOutcome]:
         """Execute every session; outcomes come back in input order.
 
         ``sessions`` may be a lazy iterable: it is consumed one batch at
@@ -194,61 +169,33 @@ class BatchedSessionRunner:
 
     # ------------------------------------------------------------------
 
-    def _run_batch(self, sessions: Sequence[SessionLike]) -> list[RangingOutcome]:
-        outcomes: list[RangingOutcome | None] = [None] * len(sessions)
-        prepared: list[_PreparedSession] = []
-        planned_renders: list[PlannedRender] = []
+    def _run_batch(
+        self, sessions: Sequence["RangingSession"]
+    ) -> list[RangingOutcome]:
+        # One entry per session, replaced as its round advances:
+        # PreparedRound (or a failed negotiation's outcome), then its
+        # NegotiationResult, then its RangingOutcome.
         mark = perf_counter()
-        for index, session in enumerate(sessions):
-            ctx, rng, artifacts = session.context, session.rng, session.artifacts
-            negotiation = negotiate(ctx, rng)
-            if artifacts is not None:
-                artifacts.signals = negotiation.signals
-            if negotiation.failure is not None:
-                outcomes[index] = negotiation.failure
-                continue
-            plan = schedule(ctx, negotiation, rng)
-            if artifacts is not None:
-                record_schedule_artifacts(artifacts, plan)
-            planned_renders.append(render_noise(ctx, plan, rng))
-            prepared.append(
-                _PreparedSession(index, session, negotiation, None)
-            )
-
+        rounds: list = [prepare(s.context, s.rng) for s in sessions]
         mark = self._account("prepare", mark)
 
-        # Deterministic arrival phase: all 2·B captures, on the lanes.
-        for item, recordings in zip(prepared, render_arrivals(planned_renders)):
-            item.recordings = recordings
-            artifacts = item.session.artifacts
-            if artifacts is not None:
-                artifacts.recording_auth = recordings.auth
-                artifacts.recording_vouch = recordings.vouch
+        live = [i for i, item in enumerate(rounds) if isinstance(item, PreparedRound)]
+        recordings = render_arrivals([rounds[i].planned for i in live])
+        # The captures exist: drop the noise beds before detection.
+        for i in live:
+            rounds[i] = rounds[i].negotiation
         mark = self._account("render", mark)
 
-        detections_all = self._detect_all(prepared)
-        mark = self._account("detect", mark)
-
-        for item, detections in zip(prepared, detections_all):
-            outcomes[item.index] = exchange(
-                item.session.context,
-                item.negotiation,
-                detections,
-                item.session.rng,
-                item.session.artifacts,
-            )
-        self._account("decide", mark)
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _detect_all(prepared: Sequence[_PreparedSession]) -> list[DetectionPair]:
-        """Step IV for every prepared session, via the shared seam."""
-        return detect_batch(
+        detections = detect_batch(
             [
-                (item.session.context, item.negotiation, item.recordings)
-                for item in prepared
+                (sessions[i].context, rounds[i], rendered)
+                for i, rendered in zip(live, recordings)
             ]
         )
+        mark = self._account("detect", mark)
+
+        for i, pair in zip(live, detections):
+            session = sessions[i]
+            rounds[i] = exchange(session.context, rounds[i], pair, session.rng)
+        self._account("decide", mark)
+        return rounds

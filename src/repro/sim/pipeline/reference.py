@@ -5,11 +5,11 @@ before the staged pipeline existed — one long function that interleaves
 signal construction, Bluetooth transfers, scheduling, rendering, and
 detection.  It is **not** used by any production path; it exists so that
 
-* the equivalence tests can assert the staged and batched paths produce
-  bit-identical :class:`~repro.core.ranging.RangingOutcome`\\ s against the
-  original *control flow* (orchestration, RNG draw order, mixer
-  sequencing), and
-* ``benchmarks/bench_pipeline.py`` can measure the batched runner against
+* the equivalence tests can assert the runner (at every batch size)
+  produces bit-identical :class:`~repro.core.ranging.RangingOutcome`\\ s
+  against the original *control flow* (orchestration, RNG draw order,
+  mixer sequencing), and
+* ``benchmarks/bench_pipeline.py`` can measure the runner against
   the true pre-refactor hot path by additionally swapping in
   :meth:`~repro.core.detection.FrequencyDetector.candidate_powers_reference`.
 
@@ -27,21 +27,42 @@ Any behavioural change here would defeat its purpose; edit the stages in
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro.acoustics.mixer import AcousticMixer, PlaybackEvent, RecordingRequest
 from repro.comms.messages import RangingInit, VouchReport
+from repro.core.action import SignalPair
 from repro.core.exceptions import PairingError
 from repro.core.ranging import RangingOutcome, RangingStatus
 from repro.sim.events import EventScheduler
 from repro.sim.pipeline.stages import (
-    SessionArtifacts,
     SessionContext,
     radiated_reference_waveform,
     session_cost,
 )
 
-__all__ = ["run_monolithic"]
+__all__ = ["SessionArtifacts", "run_monolithic"]
+
+
+@dataclass
+class SessionArtifacts:
+    """Everything the monolithic loop produced, for diagnostics.
+
+    Only :func:`run_monolithic` writes one; the live pipeline carries its
+    intermediate results in its stage dataclasses instead.
+    """
+
+    signals: SignalPair | None = None
+    recording_auth: np.ndarray | None = None
+    recording_vouch: np.ndarray | None = None
+    playbacks: list[PlaybackEvent] = field(default_factory=list)
+    auth_record_start_world: float = 0.0
+    vouch_record_start_world: float = 0.0
+    auth_play_world: float = 0.0
+    vouch_play_world: float = 0.0
+    report: VouchReport | None = None
 
 
 def run_monolithic(

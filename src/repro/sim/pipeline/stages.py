@@ -1,6 +1,6 @@
 """Typed, pure stages of one ACTION ranging round.
 
-The six protocol steps of :mod:`repro.sim.session` decompose into five
+The six protocol steps of :mod:`repro.sim.session` decompose into
 stages, each a module-level function consuming and producing frozen
 dataclasses:
 
@@ -8,11 +8,18 @@ dataclasses:
   init exchange;
 * :func:`schedule` — Step III: OS audio-path latency draws and the
   event-scheduled playback sequence (including interference providers);
-* :func:`render` — the acoustic mixer produces both microphone captures;
+* :func:`render_noise` / :func:`render_arrivals` — the acoustic mixer
+  produces both microphone captures: the RNG-bound noise beds and
+  channel draws, then the deterministic DSP, one capture per DSP lane;
 * :func:`detect` — Step IV: both devices run the detector;
 * :func:`exchange` — Steps V–VI: the vouch report crosses the secure
   channel, Eq. 3 runs, and the cost model charges the battery, producing
   the round's :class:`~repro.core.ranging.RangingOutcome`.
+
+:func:`prepare` is the round's RNG-bound prefix — ``negotiate`` →
+``schedule`` → ``render_noise`` — and every round starts with it: a
+:class:`PreparedRound` comes back, or the terminal outcome of a failed
+Bluetooth negotiation.
 
 No stage applies the authentication threshold τ: the decision is the
 **decide seam** after :func:`exchange`, where
@@ -23,18 +30,14 @@ calibration contexts) without re-rendering or re-detecting anything —
 see ``docs/pipeline.md`` and :mod:`repro.eval.sweep`.
 
 A stage's only side channels are the per-session RNG it consumes (in
-exactly the order the monolithic ``RangingSession.run`` always drew — see
+exactly the order the pre-refactor monolith always drew — see
 ``docs/pipeline.md`` for the determinism argument) and, in the final
 stage, the battery drain on the authenticating device.  Because the
-boundaries between stages carry plain data, a batch runner can execute
-``negotiate``/``schedule`` for B independent trials and then render and
-detect all 2·B captures independently on the process's DSP lanes
-(:class:`repro.sim.pipeline.BatchedSessionRunner`,
+boundaries between stages carry plain data, a runner can prepare B
+independent rounds and then render and detect all 2·B captures on the
+process's DSP lanes (:class:`repro.sim.pipeline.BatchedSessionRunner`,
 :mod:`repro.dsp.lanes`), and the service can run the stages across its
 event loop and DSP thread.
-
-:func:`run_staged` chains the stages for one session;
-:class:`repro.sim.session.RangingSession` wraps it.
 """
 
 from __future__ import annotations
@@ -76,23 +79,22 @@ from repro.sim.geometry import Room
 __all__ = [
     "SessionTiming",
     "InterferenceProvider",
-    "SessionArtifacts",
     "SessionContext",
     "NegotiationResult",
     "SchedulePlan",
     "PlannedRender",
+    "PreparedRound",
     "RenderedRecordings",
     "DetectionPair",
     "radiated_reference_waveform",
     "negotiate",
     "schedule",
-    "render",
     "render_noise",
+    "prepare",
     "render_arrivals",
     "detect",
     "exchange",
     "session_cost",
-    "run_staged",
     "render_call_counts",
     "reset_render_call_counts",
 ]
@@ -133,21 +135,6 @@ class SessionTiming:
             raise ValueError("auth_play_offset_s outside the recording span")
         if not 0 <= self.vouch_play_offset_s < self.record_span_s:
             raise ValueError("vouch_play_offset_s outside the recording span")
-
-
-@dataclass
-class SessionArtifacts:
-    """Everything a session produced, for diagnostics and tests."""
-
-    signals: SignalPair | None = None
-    recording_auth: np.ndarray | None = None
-    recording_vouch: np.ndarray | None = None
-    playbacks: list[PlaybackEvent] = field(default_factory=list)
-    auth_record_start_world: float = 0.0
-    vouch_record_start_world: float = 0.0
-    auth_play_world: float = 0.0
-    vouch_play_world: float = 0.0
-    report: VouchReport | None = None
 
 
 @dataclass(frozen=True)
@@ -192,10 +179,6 @@ class NegotiationResult:
     init_latency_s: float = 0.0
     failure: RangingOutcome | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
 
 @dataclass(frozen=True)
 class SchedulePlan:
@@ -217,12 +200,28 @@ class PlannedRender:
     Holds everything the deterministic arrival phase needs — the noise
     beds and the realized-channel arrival plans for the auth and vouch
     captures.  Producing this object consumes the session RNG exactly as
-    the one-shot ``render`` stage did; finalizing it consumes no RNG at
-    all, which is what lets each capture render on its own DSP lane.
+    :func:`~repro.sim.pipeline.reference.run_monolithic`'s render does;
+    finalizing it consumes no RNG at all, which is what lets each capture
+    render on its own DSP lane.
     """
 
     auth: CaptureJob
     vouch: CaptureJob
+
+
+@dataclass(frozen=True)
+class PreparedRound:
+    """A round after :func:`prepare`: everything its DSP and decide need.
+
+    ``planned`` pins the round's noise beds and arrival plans (several
+    MB at the paper's sample rate); the runner drops it once the captures
+    are rendered.  Detection and :func:`exchange` read only ``context``
+    and ``negotiation``.
+    """
+
+    context: SessionContext
+    negotiation: NegotiationResult
+    planned: PlannedRender
 
 
 @dataclass(frozen=True)
@@ -440,6 +439,23 @@ def render_noise(
     )
 
 
+def prepare(
+    ctx: SessionContext, rng: np.random.Generator
+) -> PreparedRound | RangingOutcome:
+    """The round's RNG-bound prefix: ``negotiate`` → ``schedule`` →
+    ``render_noise`` on the session stream.
+
+    Returns the terminal outcome instead when the Bluetooth negotiation
+    failed; nothing after it runs for that round.  The runner, the
+    service and the corpus recorder all start a round here.
+    """
+    negotiation = negotiate(ctx, rng)
+    if negotiation.failure is not None:
+        return negotiation.failure
+    plan = schedule(ctx, negotiation, rng)
+    return PreparedRound(ctx, negotiation, render_noise(ctx, plan, rng))
+
+
 def render_arrivals(planned: Sequence[PlannedRender]) -> list[RenderedRecordings]:
     """The deterministic half of the render stage, for 1..B sessions.
 
@@ -447,8 +463,7 @@ def render_arrivals(planned: Sequence[PlannedRender]) -> list[RenderedRecordings
     (:func:`repro.dsp.lanes.map_lanes` over
     :func:`repro.acoustics.mixer.render_capture`).  A capture reads only
     its own job, so the result is bit-identical to finalizing each
-    session alone (B = 1 *is* the serial path — same kernels, same
-    calls).
+    session alone (a lone round is B = 1 — same kernels, same calls).
     """
     jobs = [job for item in planned for job in (item.auth, item.vouch)]
     _RENDER_CALLS["arrival_captures"] += len(jobs)
@@ -457,20 +472,6 @@ def render_arrivals(planned: Sequence[PlannedRender]) -> list[RenderedRecordings
         RenderedRecordings(auth=recordings[2 * i], vouch=recordings[2 * i + 1])
         for i in range(len(planned))
     ]
-
-
-def render(
-    ctx: SessionContext,
-    plan: SchedulePlan,
-    rng: np.random.Generator,
-) -> RenderedRecordings:
-    """Render both microphones through one per-session mixer.
-
-    The composition of :func:`render_noise` and :func:`render_arrivals`
-    for a single session — the very kernel calls the batch runner makes,
-    at B = 1.
-    """
-    return render_arrivals([render_noise(ctx, plan, rng)])[0]
 
 
 def detect(
@@ -505,7 +506,6 @@ def exchange(
     negotiation: NegotiationResult,
     detections: DetectionPair,
     rng: np.random.Generator,
-    artifacts: SessionArtifacts | None = None,
 ) -> RangingOutcome:
     """Steps V–VI: vouch report, Eq. 3, cost model, battery drain.
 
@@ -529,8 +529,6 @@ def exchange(
     except PairingError:
         return RangingOutcome(status=RangingStatus.BLUETOOTH_UNAVAILABLE)
     assert isinstance(delivered, VouchReport)
-    if artifacts is not None:
-        artifacts.report = delivered
 
     outcome = ctx.action.finalize(
         detections.auth, delivered.ok, delivered.delta_seconds
@@ -577,48 +575,3 @@ def session_cost(
         total_s=elapsed,
     )
     return elapsed, phases.energy_joules(ctx.component_power)
-
-
-def record_schedule_artifacts(
-    artifacts: SessionArtifacts, plan: SchedulePlan
-) -> None:
-    """Copy a schedule's timing facts into the diagnostics object."""
-    artifacts.playbacks = list(plan.playbacks)
-    artifacts.auth_record_start_world = plan.auth_record_start
-    artifacts.vouch_record_start_world = plan.vouch_record_start
-    artifacts.auth_play_world = plan.auth_play_world
-    artifacts.vouch_play_world = plan.vouch_play_world
-
-
-def run_staged(
-    ctx: SessionContext,
-    rng: np.random.Generator,
-    artifacts: SessionArtifacts | None = None,
-) -> RangingOutcome:
-    """Chain the five stages for one session (the serial path).
-
-    Render and detect go through the batch seams at B = 1
-    (:func:`render_arrivals`, :func:`repro.sim.pipeline.detect_batch`):
-    same kernel calls as a batch of one, with the round's two captures
-    on two DSP lanes where the process has them.
-    """
-    # Imported here: the batch module builds on this one.
-    from repro.sim.pipeline.batch import detect_batch
-
-    negotiation = negotiate(ctx, rng)
-    if artifacts is not None:
-        artifacts.signals = negotiation.signals
-    if negotiation.failure is not None:
-        return negotiation.failure
-
-    plan = schedule(ctx, negotiation, rng)
-    if artifacts is not None:
-        record_schedule_artifacts(artifacts, plan)
-
-    recordings = render(ctx, plan, rng)
-    if artifacts is not None:
-        artifacts.recording_auth = recordings.auth
-        artifacts.recording_vouch = recordings.vouch
-
-    (detections,) = detect_batch([(ctx, negotiation, recordings)])
-    return exchange(ctx, negotiation, detections, rng, artifacts)

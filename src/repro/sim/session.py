@@ -13,89 +13,56 @@ The session drives the six protocol steps end to end with realistic timing:
 * Step VI  — the authenticating device evaluates Eq. 3.
 
 The work lives in :mod:`repro.sim.pipeline`: each step above is a typed,
-pure stage (``negotiate`` → ``schedule`` → ``render`` → ``detect`` →
-``exchange``) over frozen dataclasses, and :class:`RangingSession`
-bundles a :class:`~repro.sim.pipeline.SessionContext` (``context``) with
-its per-session RNG stream (``rng``) and diagnostics (``artifacts``);
-:meth:`RangingSession.run` chains the stages and returns the round's
-:class:`~repro.core.ranging.RangingOutcome`.  ``SessionTiming``,
-``SessionArtifacts``, ``InterferenceProvider`` and
+pure stage (``negotiate`` → ``schedule`` → ``render_noise`` /
+``render_arrivals`` → ``detect`` → ``exchange``) over frozen
+dataclasses.  A :class:`RangingSession` is a
+:class:`~repro.sim.pipeline.SessionContext` (``context``) paired with
+its per-session RNG stream (``rng``);
+:meth:`RangingSession.run` is the one in-process round runner,
+:class:`~repro.sim.pipeline.BatchedSessionRunner`, at B = 1, and
+returns the round's :class:`~repro.core.ranging.RangingOutcome`.
+:meth:`repro.sim.world.AcousticWorld.ranging_session` builds sessions.
+``SessionTiming``, ``InterferenceProvider`` and
 ``radiated_reference_waveform`` re-export from the pipeline package.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.acoustics.environment import Environment
-from repro.acoustics.propagation import PropagationModel
-from repro.comms.bluetooth import BluetoothLink
-from repro.core.ranging import RangingEngine, RangingOutcome
-from repro.devices.battery import ComponentPower
-from repro.devices.device import Device
-from repro.sim.geometry import Room
+from repro.core.ranging import RangingOutcome
+from repro.sim.pipeline.batch import BatchedSessionRunner
 from repro.sim.pipeline.stages import (
     InterferenceProvider,
-    SessionArtifacts,
     SessionContext,
     SessionTiming,
     radiated_reference_waveform,
-    run_staged,
 )
 
 __all__ = [
     "SessionTiming",
     "InterferenceProvider",
-    "SessionArtifacts",
     "RangingSession",
     "radiated_reference_waveform",
 ]
 
 
+@dataclass(frozen=True)
 class RangingSession:
-    """Executes one ACTION round between two paired devices.
+    """One ACTION round between two paired devices, ready to run.
 
-    A session is the pairing of an immutable
+    The pairing of an immutable
     :class:`~repro.sim.pipeline.SessionContext` with the per-session RNG
-    stream; :meth:`run` chains the pipeline stages serially.  Batch
-    execution hands the same (context, rng) pairs to a
-    :class:`~repro.sim.pipeline.BatchedSessionRunner` instead — the
-    outcomes are bit-identical either way.
+    stream.  :meth:`run` hands it to a one-session
+    :class:`~repro.sim.pipeline.BatchedSessionRunner`; a larger batch of
+    sessions gives bit-identical outcomes.
     """
 
-    def __init__(
-        self,
-        action: RangingEngine,
-        link: BluetoothLink,
-        auth_device: Device,
-        vouch_device: Device,
-        environment: Environment,
-        room: Room,
-        propagation: PropagationModel,
-        rng: np.random.Generator,
-        timing: SessionTiming | None = None,
-        session_id: int = 0,
-        interference: Sequence[InterferenceProvider] = (),
-        component_power: ComponentPower | None = None,
-    ) -> None:
-        self.context = SessionContext(
-            action=action,
-            link=link,
-            auth_device=auth_device,
-            vouch_device=vouch_device,
-            environment=environment,
-            room=room,
-            propagation=propagation,
-            timing=timing or SessionTiming(),
-            session_id=session_id,
-            interference=tuple(interference),
-            component_power=component_power or ComponentPower(),
-        )
-        self.rng = rng
-        self.artifacts = SessionArtifacts()
+    context: SessionContext
+    rng: np.random.Generator
 
     def run(self) -> RangingOutcome:
         """Execute the full round and return the Step-VI outcome."""
-        return run_staged(self.context, self.rng, self.artifacts)
+        return BatchedSessionRunner(1).run([self])[0]

@@ -26,7 +26,11 @@ from typing import Sequence
 
 from repro.acoustics.environment import Environment, get_environment
 from repro.acoustics.propagation import PropagationModel
-from repro.comms.bluetooth import BluetoothLink, pair_devices
+from repro.comms.bluetooth import (
+    DEFAULT_BLUETOOTH_RANGE_M,
+    BluetoothLink,
+    pair_devices,
+)
 from repro.core.action import ActionRanging
 from repro.core.config import AuthConfig, ProtocolConfig
 from repro.core.decisions import AuthResult
@@ -35,6 +39,7 @@ from repro.core.piano import PianoAuthenticator
 from repro.core.ranging import RangingOutcome
 from repro.devices.device import Device
 from repro.sim.geometry import Point, Room
+from repro.sim.pipeline import SessionContext
 from repro.sim.rng import RngFactory
 from repro.sim.session import InterferenceProvider, RangingSession, SessionTiming
 
@@ -126,7 +131,12 @@ class AcousticWorld:
         except KeyError:
             raise KeyError(f"unknown device {name!r}") from None
 
-    def pair(self, name_a: str, name_b: str, range_m: float = 10.0) -> BluetoothLink:
+    def pair(
+        self,
+        name_a: str,
+        name_b: str,
+        range_m: float = DEFAULT_BLUETOOTH_RANGE_M,
+    ) -> BluetoothLink:
         """Registration phase: pair two devices over Bluetooth (§IV)."""
         link = pair_devices(
             self.device(name_a),
@@ -170,7 +180,7 @@ class AcousticWorld:
         self._session_counter += 1
         assert self.propagation is not None
         assert isinstance(self.environment, Environment)
-        return RangingSession(
+        context = SessionContext(
             action=engine if engine is not None else self.action,
             link=link,
             auth_device=self.device(auth_name),
@@ -178,11 +188,11 @@ class AcousticWorld:
             environment=self.environment,
             room=self.room,
             propagation=self.propagation,
-            rng=self.rngs.generator("session"),
             timing=self.timing,
             session_id=self._session_counter,
-            interference=interference,
+            interference=tuple(interference),
         )
+        return RangingSession(context, self.rngs.generator("session"))
 
     def range_once(
         self,

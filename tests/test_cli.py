@@ -25,6 +25,10 @@ BAD_VALUES = [
     ["run-all", "--jobs", "0"],
     ["run", "wall", "--seed", "-3"],
     ["capture", "--corpus", "c", "--seed", "-1"],
+    ["capture", "--corpus", "c", "--distances", "12"],
+    ["capture", "--corpus", "c", "--distances", "0"],
+    ["capture", "--corpus", "c", "--distances", "-1"],
+    ["capture", "--corpus", "c", "--distances", "nan"],
     ["scenario", "run", "office-fig1", "--seed", "-5"],
     ["serve", "--dsp-timeout-s", "0"],
     ["serve", "--dsp-timeout-s", "-1"],
@@ -73,6 +77,8 @@ def test_boundary_values_parse():
     assert build_parser().parse_args(["serve", "--port", "65535"]).port == 65535
     assert build_parser().parse_args(["run", "wall", "--trials", "1"]).trials == 1
     assert build_parser().parse_args(["roc", "--trials", "2"]).trials == 2
+    capture = ["capture", "--corpus", "c", "--distances", "10", "0.5"]
+    assert build_parser().parse_args(capture).distances == [10.0, 0.5]
 
 
 def test_non_numbers_name_their_type(capsys):

@@ -29,11 +29,10 @@ from repro.sim.pipeline import (
     BatchedSessionRunner,
     detect,
     detect_batch,
-    negotiate,
-    render,
+    prepare,
+    render_arrivals,
     render_call_counts,
     reset_render_call_counts,
-    schedule,
 )
 
 SPEC = TrialSpec(environment="office", distance_m=1.0, n_trials=5, seed=3)
@@ -172,10 +171,9 @@ def test_detect_batch_on_lanes_matches_per_entry_detect(cpus):
     for spec in (SPEC, CC_SPEC):
         for trial in range(2):
             session = build_trial_session(spec, trial)
-            ctx, rng = session.context, session.rng
-            negotiation = negotiate(ctx, rng)
-            recordings = render(ctx, schedule(ctx, negotiation, rng), rng)
-            entries.append((ctx, negotiation, recordings))
+            prepared = prepare(session.context, session.rng)
+            (recordings,) = render_arrivals([prepared.planned])
+            entries.append((prepared.context, prepared.negotiation, recordings))
     assert type(entries[-1][0].action) is ActionCCRanging
     assert detect_batch(entries) == [detect(*entry) for entry in entries]
 

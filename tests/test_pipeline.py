@@ -1,8 +1,8 @@
 """Equivalence tests for the staged/batched ranging pipeline.
 
-The contract under test: the staged serial path (``RangingSession.run``),
-the batched path (:class:`BatchedSessionRunner`, any batch size), and the
-pre-refactor monolithic loop (:func:`run_monolithic`) produce
+The contract under test: a lone round (``RangingSession.run``, the
+runner at B = 1), :class:`BatchedSessionRunner` at any batch size, and
+the pre-refactor monolithic loop (:func:`run_monolithic`) produce
 **bit-identical** :class:`RangingOutcome`\\ s — and therefore bit-identical
 experiment tables — for every scenario.
 """
@@ -16,7 +16,7 @@ from repro.attacks.all_frequency import AllFrequencySpoofAttack
 from repro.baselines.cc_detector import ActionCCRanging
 from repro.core.config import ProtocolConfig
 from repro.core.detection import FrequencyDetector
-from repro.core.ranging import RangingOutcome
+from repro.core.ranging import RangingOutcome, RangingStatus
 from repro.core.signal_construction import signal_from_indices
 from repro.corpus import mini_environment, mini_protocol_config
 from repro.dsp.backend import NumpyBackend, use_backend
@@ -29,14 +29,17 @@ from repro.eval.engine import (
 )
 from repro.eval.engine.cache import is_deeply_immutable
 from repro.eval.trials import ConcurrentUsersInterference
+from repro.sim.geometry import Point
 from repro.sim.pipeline import (
     BatchedSessionRunner,
+    PreparedRound,
     detect,
     detect_batch,
-    negotiate,
-    render,
+    prepare,
+    render_arrivals,
+    render_call_counts,
+    reset_render_call_counts,
     run_monolithic,
-    schedule,
 )
 
 
@@ -126,7 +129,7 @@ def staged_outcomes(spec):
 
 def test_staged_matches_pre_refactor_monolith(spec, staged_outcomes):
     monolith = [
-        run_monolithic(session.context, session.rng, session.artifacts)
+        run_monolithic(session.context, session.rng)
         for session in build_sessions(spec)
     ]
     assert monolith == staged_outcomes
@@ -140,19 +143,33 @@ def test_batched_matches_staged(spec, staged_outcomes, batch_size):
     assert all(isinstance(outcome, RangingOutcome) for outcome in batched)
 
 
-def test_batched_runner_populates_artifacts(spec):
-    reference = build_sessions(spec)
-    for session in reference:
-        session.run()
-    batched = build_sessions(spec)
-    BatchedSessionRunner(4).run(batched)
-    for expected, actual in zip(reference, batched):
-        art_a, art_b = expected.artifacts, actual.artifacts
-        assert np.array_equal(art_a.recording_auth, art_b.recording_auth)
-        assert np.array_equal(art_a.recording_vouch, art_b.recording_vouch)
-        assert art_a.auth_play_world == art_b.auth_play_world
-        assert len(art_a.playbacks) == len(art_b.playbacks)
-        assert art_a.report == art_b.report
+def _out_of_range_batch():
+    """Three sessions; the middle one's vouching device left Bluetooth
+    range after pairing, so its round ends at ``negotiate``."""
+    sessions = []
+    for seed, moved in ((3, False), (4, True), (5, False)):
+        world = build_pair_world("office", 0.8, seed)
+        if moved:
+            world.move_device(VOUCH, Point(20.0, 0.0))
+        sessions.append(world.ranging_session(AUTH, VOUCH))
+    return sessions
+
+
+def test_batched_runner_skips_a_failed_negotiation():
+    expected = [session.run() for session in _out_of_range_batch()]
+    monolith = [
+        run_monolithic(session.context, session.rng)
+        for session in _out_of_range_batch()
+    ]
+    reset_render_call_counts()
+    batched = BatchedSessionRunner(3).run(_out_of_range_batch())
+    assert render_call_counts() == {"noise_plans": 2, "arrival_captures": 4}
+    assert batched == expected == monolith
+    assert [outcome.status for outcome in batched] == [
+        RangingStatus.OK,
+        RangingStatus.BLUETOOTH_UNAVAILABLE,
+        RangingStatus.OK,
+    ]
 
 
 def test_batch_runner_rejects_bad_batch_size():
@@ -181,11 +198,10 @@ def test_detect_batch_matches_per_entry_detect():
     entries = []
     for sessions in zip(*(build_sessions(spec) for spec in specs)):
         for session in sessions:
-            ctx, rng = session.context, session.rng
-            negotiation = negotiate(ctx, rng)
-            assert negotiation.failure is None
-            recordings = render(ctx, schedule(ctx, negotiation, rng), rng)
-            entries.append((ctx, negotiation, recordings))
+            prepared = prepare(session.context, session.rng)
+            assert isinstance(prepared, PreparedRound)
+            (recordings,) = render_arrivals([prepared.planned])
+            entries.append((prepared.context, prepared.negotiation, recordings))
 
     assert detect_batch(entries) == [detect(*entry) for entry in entries]
 

@@ -291,6 +291,13 @@ def test_coincident_verifier_and_prover_is_rejected():
         compile_scenario(doc)
 
 
+def test_prover_beyond_pairing_range_is_rejected():
+    with pytest.raises(ScenarioError, match="Bluetooth pairing range"):
+        compile_scenario(minimal_doc(walk=(WalkStation(12.0, 0.0),)))
+    edge = compile_scenario(minimal_doc(walk=(WalkStation(0.0, 10.0),)))
+    assert [cell.distance_m for cell in edge.cells] == [10.0]
+
+
 def test_untimed_duplicate_stations_are_rejected():
     doc = minimal_doc(walk=(WalkStation(1.0, 0.0), WalkStation(1.0, 0.0)))
     with pytest.raises(ScenarioError, match="duplicate cell key"):

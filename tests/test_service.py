@@ -34,7 +34,7 @@ from repro.service import (
     decode_message,
     encode_message,
 )
-from repro.sim.pipeline import negotiate, render_noise, schedule
+from repro.sim.pipeline import prepare
 
 # Small, fast cells: quiet_lab keeps detection easy and stable.
 ENV = "quiet_lab"
@@ -331,7 +331,8 @@ def test_single_request_matches_engine_cell():
 
 def test_concurrent_requests_match_serial_engine_cells():
     """N concurrent requests == their serial CLI cells, bit for bit."""
-    distances = [0.5, 0.8, 1.1, 1.4]
+    # 10.0 m is the edge of the Bluetooth pairing range: still served.
+    distances = [0.5, 0.8, 1.1, 1.4, 10.0]
     rounds = 2
     serial = {d: engine_outcomes(d, rounds) for d in distances}
 
@@ -428,6 +429,8 @@ def test_tcp_round_trip_matches_engine_and_streams_in_order():
         {"rounds": 10_000_000},  # above MAX_ROUNDS_PER_REQUEST
         {"rounds": "2"},  # in-process callers can mistype too
         {"distance_m": -1.0},
+        {"distance_m": 10.5},  # beyond the Bluetooth pairing range
+        {"distance_m": float("inf")},
         {"distance_m": "close"},
         {"threshold_m": 0.0},
         {"deadline_ms": -5.0},
@@ -536,18 +539,15 @@ def test_abandoned_rounds_are_not_executed():
     """Rounds whose request died never cost a stacked DSP pass."""
     spec = TrialSpec(environment=ENV, distance_m=0.8, n_trials=2, seed=SEED)
 
-    def prepare(trial):
+    def prepared(trial):
         session = build_trial_session(spec, trial)
-        ctx, rng = session.context, session.rng
-        negotiation = negotiate(ctx, rng)
-        plan = schedule(ctx, negotiation, rng)
-        return ctx, negotiation, render_noise(ctx, plan, rng)
+        return prepare(session.context, session.rng)
 
     async def go():
         scheduler = BatchingScheduler()
         loop = asyncio.get_running_loop()
-        dead = loop.create_task(scheduler.run_round(*prepare(0)))
-        live = loop.create_task(scheduler.run_round(*prepare(1)))
+        dead = loop.create_task(scheduler.run_round(prepared(0)))
+        live = loop.create_task(scheduler.run_round(prepared(1)))
         await asyncio.sleep(0)  # both queued; collector not started yet
         dead.cancel()
         await asyncio.gather(dead, return_exceptions=True)
@@ -567,12 +567,8 @@ def test_scheduler_stop_fails_queued_rounds():
             environment=ENV, distance_m=0.8, n_trials=1, seed=SEED
         )
         session = build_trial_session(spec, 0)
-        ctx, rng = session.context, session.rng
-        negotiation = negotiate(ctx, rng)
-        plan = schedule(ctx, negotiation, rng)
-        planned = render_noise(ctx, plan, rng)
         task = asyncio.get_running_loop().create_task(
-            scheduler.run_round(ctx, negotiation, planned)
+            scheduler.run_round(prepare(session.context, session.rng))
         )
         await asyncio.sleep(0)
         await scheduler.stop()  # never started: the queued round must fail

@@ -11,6 +11,7 @@ from repro import (
     RangingStatus,
     Room,
 )
+from repro.sim.pipeline import negotiate, schedule
 from repro.sim.session import SessionTiming
 from tests.conftest import make_pair_world
 
@@ -81,27 +82,17 @@ def test_battery_drains_per_round(pair_world):
     assert device.battery.consumed_j > before
 
 
-def test_session_artifacts_populated(pair_world):
+def test_schedule_plays_both_references_apart(pair_world):
     session = pair_world.ranging_session("auth", "vouch")
-    outcome = session.run()
-    art = session.artifacts
-    assert outcome.ok
-    assert art.signals is not None
-    assert art.recording_auth is not None
-    assert art.recording_vouch is not None
-    assert len(art.playbacks) == 2
-    labels = {p.label for p in art.playbacks}
-    assert labels == {"S_A", "S_V"}
-    assert art.report is not None and art.report.ok
-
-
-def test_playbacks_do_not_overlap_in_time(pair_world):
-    session = pair_world.ranging_session("auth", "vouch")
-    session.run()
-    art = session.artifacts
+    ctx, rng = session.context, session.rng
+    plan = schedule(ctx, negotiate(ctx, rng), rng)
+    assert [p.label for p in plan.playbacks] == ["S_A", "S_V"]
+    assert [p.world_start for p in plan.playbacks] == [
+        plan.auth_play_world,
+        plan.vouch_play_world,
+    ]
     duration = pair_world.config.signal_duration
-    gap = abs(art.vouch_play_world - art.auth_play_world)
-    assert gap > 2 * duration
+    assert plan.vouch_play_world - plan.auth_play_world > 2 * duration
 
 
 def test_same_seed_reproduces_distance():

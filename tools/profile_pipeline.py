@@ -1,8 +1,9 @@
 """Hot-list profiler for the ranging pipeline.
 
-It runs a small Fig. 1-style plan one session at a time through the
-stage-timed runner (``BatchedSessionRunner(1)``, the trial engine's
-configuration) and prints either
+It runs a small Fig. 1-style plan one session at a time through
+``BatchedSessionRunner(1)`` — the runner every ``RangingSession.run``
+uses, so exactly the trial engine's configuration — with stage timing,
+and prints either
 
 * ``--mode wall`` (default) — the runner's per-stage wall-clock split
   (prepare / render / detect / decide) plus throughput, with negligible
